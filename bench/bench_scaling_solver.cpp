@@ -40,6 +40,11 @@
 //     single-node stability / ac / impedance / loopgain shape). The
 //     scalar column modes are skipped above ~4k unknowns in the 24-probe
 //     regime (hours of wall clock for a known-overtaken configuration).
+//   * all-nodes diagonal ("scaling_alldiag" rows, rcmesh only): the
+//     `stability --all` shape, diag(Y^-1) at every node on an 11-point
+//     grid, by selected inversion (alldiag_selinv) and by one back-solve
+//     per node (alldiag_solve) in the same run. CI guards the pair's
+//     agreement (1e-12) and the solve/selinv ratio at 2k.
 //
 // Prints tables plus one machine-readable ACSTAB_BENCH_JSON line; the
 // committed BENCH_9.json at the repo root is this line's array (see
@@ -72,7 +77,7 @@ namespace {
 using namespace acstab;
 
 struct row {
-    std::string bench;          ///< "scaling_fill" | "scaling_sweep"
+    std::string bench;          ///< "scaling_fill" | "_phase" | "_sweep" | "_alldiag"
     std::string kind;           ///< "ladder" | "rcmesh"
     std::size_t unknowns = 0;
     std::string mode;           ///< ordering name or sweep configuration
@@ -417,6 +422,72 @@ void print_sweep_ablation(const char* title, std::size_t nprobes,
     std::puts("");
 }
 
+/// All-nodes driving-point impedances, the `stability --all` shape: the
+/// diagonal of Y(jw)^-1 at every non-forced node on a short grid, by
+/// selected inversion (run_inverse_diagonal, the product path) and by one
+/// unit-current back-solve per node (run_injections, the oracle), serial
+/// and measured in the same run. max_rel_err compares the two diagonals.
+void print_alldiag(const std::vector<std::size_t>& sizes)
+{
+    std::puts("==============================================================================");
+    std::puts("A5e — all-nodes diagonal of Y^-1, ms per frequency point (serial, 11 points)");
+    std::puts("==============================================================================");
+    std::puts("kind     unknowns   nodes   selinv ms   solve ms   solve/selinv   max err");
+    std::puts("------------------------------------------------------------------------------");
+    const std::vector<real> freqs = numeric::log_grid(1e3, 1e8, 2);
+    for (const std::size_t size : sizes) {
+        workload w("rcmesh", size);
+        engine::snapshot_options sopt;
+        sopt.gshunt = 1e-9;
+        sopt.zero_all_sources = true;
+        const engine::linearized_snapshot snap(w.net.ckt, w.op, sopt);
+        const std::vector<bool> forced = w.net.ckt.source_forced_nodes();
+        std::vector<std::size_t> nodes;
+        std::vector<engine::sweep_engine::injection> inj;
+        for (std::size_t k = 0; k < w.net.ckt.node_count(); ++k)
+            if (!forced[k]) {
+                nodes.push_back(k);
+                inj.push_back({k, cplx{1.0, 0.0}});
+            }
+
+        // Both paths share the snapshot's symbolic object: build it
+        // before either is timed.
+        const engine::sweep_engine eng{};
+        static_cast<void>(snap.shared_symbolic(to_omega(freqs[freqs.size() / 2]),
+                                               eng.options().tuning.ordering));
+        std::vector<std::vector<cplx>> sel(freqs.size(), std::vector<cplx>(nodes.size()));
+        std::vector<std::vector<cplx>> sol = sel;
+        const double ms_sel = time_ms([&] {
+            eng.run_inverse_diagonal(snap, freqs, nodes,
+                                     [&sel](std::size_t fi, std::span<const cplx> diag) {
+                                         std::copy(diag.begin(), diag.end(), sel[fi].begin());
+                                     });
+        });
+        const double ms_sol = time_ms([&] {
+            eng.run_injections(snap, freqs, inj,
+                               [&sol, &inj](std::size_t fi, std::size_t ri,
+                                            std::span<const cplx> x) {
+                                   sol[fi][ri] = x[inj[ri].index];
+                               });
+        });
+        double err = 0.0;
+        for (std::size_t fi = 0; fi < freqs.size(); ++fi)
+            for (std::size_t i = 0; i < nodes.size(); ++i)
+                err = std::max(err, std::abs(sel[fi][i] - sol[fi][i])
+                                        / std::max(std::abs(sol[fi][i]), 1e-300));
+
+        const double nf = static_cast<double>(freqs.size());
+        std::printf("%-8s %8zu  %6zu   %9.3f  %9.3f      %7.1fx     %.2g\n", "rcmesh",
+                    snap.size(), nodes.size(), ms_sel / nf, ms_sol / nf, ms_sol / ms_sel, err);
+        const long long probes = static_cast<long long>(nodes.size());
+        results().push_back({"scaling_alldiag", "rcmesh", snap.size(), "alldiag_selinv", probes,
+                             -1, ms_sel / nf, -1, -1, -1, err});
+        results().push_back({"scaling_alldiag", "rcmesh", snap.size(), "alldiag_solve", probes,
+                             -1, ms_sol / nf, -1, -1, -1, 0.0});
+    }
+    std::puts("");
+}
+
 } // namespace
 
 int main(int argc, char** argv)
@@ -432,18 +503,21 @@ int main(int argc, char** argv)
                          "40 ppd)";
     if (quick) {
         // CI smoke: one ~2k-unknown point per kind, single timing pass,
-        // plus the 8k point the supernodal and pipelined perf guards
-        // read (the scalar column modes are skipped there, so it stays
-        // within the job's minutes budget).
+        // plus the 8k point the supernodal, pipelined and all-nodes
+        // guards read (the scalar column modes are skipped there, and
+        // the all-nodes oracle runs only 11 points, so it stays within
+        // the job's minutes budget).
         print_fill_table({2048});
         print_phase_breakdown({2048, 8192}, 1);
         print_sweep_ablation(title24, 24, {2048, 8192}, 1);
         print_sweep_ablation(title1, 1, {2048}, 1);
+        print_alldiag({2048, 8192});
     } else {
         print_fill_table({512, 2048, 8192});
         print_phase_breakdown({512, 2048, 8192}, 3);
         print_sweep_ablation(title24, 24, {512, 2048, 8192}, 3);
         print_sweep_ablation(title1, 1, {512, 2048, 8192}, 3);
+        print_alldiag({512, 2048, 8192});
     }
     emit_json();
     return 0;

@@ -138,34 +138,38 @@ stability_report stability_analyzer::analyze_all_nodes()
     if (opt_.skip_forced_nodes)
         forced = circuit_.source_forced_nodes();
 
-    // One unit-current right-hand side per analyzable node: the engine
-    // factors Y(jw) once per frequency and back-solves the whole batch
-    // (algebraically identical to the paper's one-simulation-per-node
-    // loop, orders of magnitude faster), parallel over frequencies on the
-    // shared pool.
+    // Each analyzable node's driving-point impedance is the diagonal
+    // entry of Y(jw)^-1 (the response to a unit current into the node —
+    // the paper's one-simulation-per-node loop). The fixed grid reads
+    // that diagonal straight from each frequency's LU factors by
+    // selected inversion, parallel over frequencies on the shared pool.
     const engine::linearized_snapshot snap = make_injection_snapshot(circuit_, op, opt_);
-    std::vector<engine::sweep_engine::injection> injections;
+    std::vector<std::size_t> unknowns;
     for (std::size_t k = 0; k < node_count; ++k)
         if (!forced[k])
-            injections.push_back({k, cplx{1.0, 0.0}}); // unit current into node k
+            unknowns.push_back(k);
 
-    stability_report report;
     std::vector<real> grid = freqs;
+    std::size_t factorizations = nf;
     // magnitude[node][freq]
     std::vector<std::vector<real>> magnitude(node_count);
-    if (opt_.adaptive && !injections.empty()) {
-        // One channel per injection (each node observes its own driving-
-        // point response); the adaptive driver refines on the worst node
-        // so a single solved grid serves every right-hand side.
-        std::vector<engine::adaptive_channel> channels(injections.size());
-        for (std::size_t ri = 0; ri < injections.size(); ++ri)
-            channels[ri] = {ri, injections[ri].index};
+    if (opt_.adaptive && !unknowns.empty()) {
+        // One unit-current injection and channel per node (each node
+        // observes its own driving-point response): the adaptive sweep's
+        // refinement check needs full solution vectors. It refines on the
+        // worst node so a single solved grid serves every right-hand side.
+        std::vector<engine::sweep_engine::injection> injections;
+        std::vector<engine::adaptive_channel> channels;
+        for (const std::size_t k : unknowns) {
+            channels.push_back({injections.size(), k});
+            injections.push_back({k, cplx{1.0, 0.0}});
+        }
         const engine::adaptive_sweep_result res
             = make_adaptive(opt_).run_injections(snap, injections, channels);
         grid = res.freq_hz;
-        report.factorizations = res.factorizations;
-        for (std::size_t ri = 0; ri < injections.size(); ++ri) {
-            std::vector<real>& mag = magnitude[injections[ri].index];
+        factorizations = res.factorizations;
+        for (std::size_t ri = 0; ri < unknowns.size(); ++ri) {
+            std::vector<real>& mag = magnitude[unknowns[ri]];
             mag.resize(grid.size());
             for (std::size_t fi = 0; fi < grid.size(); ++fi)
                 mag[fi] = std::abs(res.values[ri][fi]);
@@ -173,19 +177,27 @@ stability_report stability_analyzer::analyze_all_nodes()
     } else {
         for (std::size_t k = 0; k < node_count; ++k)
             magnitude[k].assign(nf, 0.0);
-        report.factorizations = nf;
-        make_engine(opt_).run_injections(
-            snap, freqs, injections,
-            [&magnitude, &injections](std::size_t fi, std::size_t ri,
-                                      std::span<const cplx> sol) {
-                const std::size_t k = injections[ri].index;
-                magnitude[k][fi] = std::abs(sol[k]);
+        make_engine(opt_).run_inverse_diagonal(
+            snap, freqs, unknowns,
+            [&magnitude, &unknowns](std::size_t fi, std::span<const cplx> diag) {
+                for (std::size_t i = 0; i < unknowns.size(); ++i)
+                    magnitude[unknowns[i]][fi] = std::abs(diag[i]);
             });
     }
 
-    for (std::size_t k = 0; k < node_count; ++k) {
+    stability_report report = build_report(grid, std::move(magnitude), forced);
+    report.factorizations = factorizations;
+    return report;
+}
+
+stability_report stability_analyzer::build_report(const std::vector<real>& grid,
+                                                  std::vector<std::vector<real>> magnitude,
+                                                  const std::vector<bool>& skipped) const
+{
+    stability_report report;
+    for (std::size_t k = 0; k < magnitude.size(); ++k) {
         const std::string& name = circuit_.node_name(static_cast<spice::node_id>(k));
-        if (forced[k]) {
+        if (skipped[k]) {
             report.skipped_nodes.push_back(name);
             continue;
         }

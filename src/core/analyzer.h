@@ -6,12 +6,14 @@
 //
 // All-nodes mode evaluates every circuit node. Both modes run through the
 // unified sweep engine (src/engine/): devices are linearized once into a
-// G + jwC snapshot, the complex MNA matrix is factored once per frequency
-// and back-solved with one unit-current right-hand side per node — which
-// is algebraically identical to the paper's one-simulation-per-node loop
-// but orders of magnitude faster — and frequencies are distributed over
-// the shared persistent thread pool (the paper lists "computer farm run
-// capability" as future work).
+// G + jwC snapshot and the complex MNA matrix is factored once per
+// frequency. A node's impedance is its response to a unit current into
+// itself, the diagonal entry of Y(jw)^-1: single-node mode back-solves
+// that one injection, all-nodes mode reads the whole diagonal from the
+// factors by selected inversion — algebraically identical to the paper's
+// one-simulation-per-node loop but orders of magnitude faster. Frequencies
+// are distributed over the shared persistent thread pool (the paper lists
+// "computer farm run capability" as future work).
 #ifndef ACSTAB_CORE_ANALYZER_H
 #define ACSTAB_CORE_ANALYZER_H
 
@@ -107,6 +109,14 @@ public:
 
     /// "All Nodes" run mode with loop grouping.
     [[nodiscard]] stability_report analyze_all_nodes();
+
+    /// The all-nodes report from driving-point impedance magnitudes:
+    /// magnitude[k] over `grid` for every node k, except nodes flagged in
+    /// `skipped`, which are listed as skipped. Nodes come out sorted by
+    /// natural frequency and grouped into loops; factorizations is left 0.
+    [[nodiscard]] stability_report build_report(const std::vector<real>& grid,
+                                                std::vector<std::vector<real>> magnitude,
+                                                const std::vector<bool>& skipped) const;
 
     /// Invalidate the cached operating point after circuit edits.
     void invalidate_operating_point() noexcept { op_.reset(); }

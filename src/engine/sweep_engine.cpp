@@ -208,6 +208,25 @@ namespace {
             }
         }
 
+        /// diag[i] = (Y^-1)(unknowns[i], unknowns[i]) of the current
+        /// factorization, by selected inversion (numeric_lu::
+        /// inverse_diagonal). Needs exact factors: never call it after a
+        /// warm-started factor().
+        void inverse_diagonal(std::span<const std::size_t> unknowns, std::span<cplx> diag)
+        {
+            if (dense_) {
+                // Reference path; allocation-freedom is not a goal here.
+                std::vector<cplx> e(snap_.size(), cplx{});
+                for (std::size_t i = 0; i < unknowns.size(); ++i) {
+                    e[unknowns[i]] = cplx{1.0, 0.0};
+                    diag[i] = dense_->solve(e)[unknowns[i]];
+                    e[unknowns[i]] = cplx{};
+                }
+                return;
+            }
+            num_->inverse_diagonal(unknowns, diag);
+        }
+
     private:
         /// Cold path: values-only refactor under the reused pivot order,
         /// guarded by growth + probe, with a fresh pivot-selecting
@@ -480,29 +499,26 @@ namespace {
 
     constexpr std::size_t no_prev = std::numeric_limits<std::size_t>::max();
 
-    /// Shared chunked sweep. bind_rhs(ri, slot, prev) returns a pointer to
-    /// right-hand side ri, either borrowing caller storage directly or
-    /// materializing into the worker's staging column `slot` (with `prev`
-    /// as the slot's persistent sparse-update state). Right-hand sides are
-    /// frequency independent, so a slot only changes when a different ri
-    /// rotates into it. Templated on the binder so the per-RHS call
-    /// inlines instead of going through a std::function.
-    template <class BindRhs>
-    void run_chunks(const linearized_snapshot& snap, const sweep_engine_options& opt,
-                    std::size_t threads, const std::vector<real>& freqs_hz, std::size_t nrhs,
-                    const BindRhs& bind_rhs, const sweep_engine::sink& out)
+    void check_grid(const std::vector<real>& freqs_hz)
     {
         if (freqs_hz.empty())
             throw analysis_error("sweep engine: empty frequency list");
         for (const real f : freqs_hz)
             if (!(f > 0.0))
                 throw analysis_error("sweep engine: frequencies must be positive");
-        if (nrhs == 0)
-            return;
+    }
 
-        const std::size_t n = snap.size();
+    /// Shared chunked sweep. Every worker owns one chunk_solver and the
+    /// state make_point() returns (allocated once, before its frequency
+    /// loop); per frequency it factors Y(jw) and calls
+    /// point(solver, fi). Templated so the per-point call inlines
+    /// instead of going through a std::function.
+    template <class MakePoint>
+    void run_chunks(const linearized_snapshot& snap, const sweep_engine_options& opt,
+                    std::size_t threads, const std::vector<real>& freqs_hz,
+                    const MakePoint& make_point)
+    {
         const std::size_t nf = freqs_hz.size();
-        const std::size_t block = std::max<std::size_t>(1, std::min(opt.rhs_block, nrhs));
 
         // One symbolic analysis for the whole sweep, computed (or fetched
         // from the snapshot's cache) on the calling thread before any
@@ -528,15 +544,39 @@ namespace {
                                 shared_sym);
             // All worker storage is allocated here, once; the frequency
             // loop below is allocation-free in steady state.
-            std::vector<cplx> staging(block * n, cplx{});
-            std::vector<std::size_t> prev(block, no_prev);
-            std::vector<const cplx*> cols(block);
-            std::vector<cplx> xbuf(block * n);
+            auto point = make_point();
             for (std::size_t fi = begin; fi < end; ++fi) {
                 // The lookahead (warm_pipeline) stops at the chunk edge:
                 // the next chunk's points belong to another worker.
                 solver.factor(to_omega(freqs_hz[fi]),
                               fi + 1 < end ? to_omega(freqs_hz[fi + 1]) : 0.0);
+                point(solver, fi);
+            }
+        });
+    }
+
+    /// run_chunks with batched back-solves. bind_rhs(ri, slot, prev)
+    /// returns a pointer to right-hand side ri, either borrowing caller
+    /// storage directly or materializing into the worker's staging column
+    /// `slot` (with `prev` as the slot's persistent sparse-update state).
+    /// Right-hand sides are frequency independent, so a slot only changes
+    /// when a different ri rotates into it.
+    template <class BindRhs>
+    void run_solves(const linearized_snapshot& snap, const sweep_engine_options& opt,
+                    std::size_t threads, const std::vector<real>& freqs_hz, std::size_t nrhs,
+                    const BindRhs& bind_rhs, const sweep_engine::sink& out)
+    {
+        check_grid(freqs_hz);
+        if (nrhs == 0)
+            return;
+        const std::size_t n = snap.size();
+        const std::size_t block = std::max<std::size_t>(1, std::min(opt.rhs_block, nrhs));
+        run_chunks(snap, opt, threads, freqs_hz, [&] {
+            return [&, staging = std::vector<cplx>(block * n, cplx{}),
+                    prev = std::vector<std::size_t>(block, no_prev),
+                    cols = std::vector<const cplx*>(block),
+                    xbuf = std::vector<cplx>(block * n)](chunk_solver& solver,
+                                                         std::size_t fi) mutable {
                 for (std::size_t r0 = 0; r0 < nrhs; r0 += block) {
                     const std::size_t bn = std::min(block, nrhs - r0);
                     for (std::size_t j = 0; j < bn; ++j)
@@ -545,7 +585,7 @@ namespace {
                     for (std::size_t j = 0; j < bn; ++j)
                         out(fi, r0 + j, std::span<const cplx>(xbuf.data() + j * n, n));
                 }
-            }
+            };
         });
     }
 
@@ -557,7 +597,7 @@ void sweep_engine::run(const linearized_snapshot& snap, const std::vector<real>&
     for (const std::vector<cplx>& rhs : rhs_batch)
         if (rhs.size() != snap.size())
             throw analysis_error("sweep engine: right-hand side has wrong length");
-    run_chunks(snap, opt_, resolved_threads(), freqs_hz, rhs_batch.size(),
+    run_solves(snap, opt_, resolved_threads(), freqs_hz, rhs_batch.size(),
                [&rhs_batch](std::size_t ri, cplx*, std::size_t&) -> const cplx* {
                    return rhs_batch[ri].data();
                },
@@ -572,7 +612,7 @@ void sweep_engine::run_injections(const linearized_snapshot& snap,
     for (const injection& inj : injections)
         if (inj.index >= snap.size())
             throw analysis_error("sweep engine: injection index out of range");
-    run_chunks(snap, opt_, resolved_threads(), freqs_hz, injections.size(),
+    run_solves(snap, opt_, resolved_threads(), freqs_hz, injections.size(),
                [&injections](std::size_t ri, cplx* slot, std::size_t& prev) -> const cplx* {
                    // The slot column is all-zero except for the previously
                    // staged injection: clear just that index instead of an
@@ -585,6 +625,30 @@ void sweep_engine::run_injections(const linearized_snapshot& snap,
                    return slot;
                },
                out);
+}
+
+void sweep_engine::run_inverse_diagonal(const linearized_snapshot& snap,
+                                        const std::vector<real>& freqs_hz,
+                                        const std::vector<std::size_t>& unknowns,
+                                        const diag_sink& out) const
+{
+    check_grid(freqs_hz);
+    for (const std::size_t k : unknowns)
+        if (k >= snap.size())
+            throw analysis_error("sweep engine: unknown index out of range");
+    if (unknowns.empty())
+        return;
+    // Selected inversion reads the factors themselves, so it needs exact
+    // factors of every Y(jw): no stale warm-start factors.
+    sweep_engine_options exact = opt_;
+    exact.tuning.warm_start = false;
+    run_chunks(snap, exact, resolved_threads(), freqs_hz, [&] {
+        return [&, diag = std::vector<cplx>(unknowns.size())](chunk_solver& solver,
+                                                              std::size_t fi) mutable {
+            solver.inverse_diagonal(unknowns, diag);
+            out(fi, diag);
+        };
+    });
 }
 
 void sweep_engine::for_each(std::size_t count, const std::function<void(std::size_t)>& fn) const

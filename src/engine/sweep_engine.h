@@ -14,9 +14,12 @@
 //     the reused pivot order degrades (or hits an exact zero pivot);
 //   * right-hand sides are back-solved in batches: one traversal of L and
 //     one of U per batch of up to rhs_block columns, with zero heap
-//     allocations in the steady-state loop — the paper's one-stimulus-
-//     per-node sweep becomes one refactorization plus one batched
-//     back-solve per frequency.
+//     allocations in the steady-state loop;
+//   * the paper's one-stimulus-per-node sweep (all-nodes stability) needs
+//     only the diagonal of Y(jw)^-1, so it becomes refactor + selected
+//     inversion per frequency (run_inverse_diagonal): the diagonal is
+//     read from the LU factors directly instead of one back-solve per
+//     node, again with zero heap allocations in the steady-state loop.
 //
 // for_each() exposes the same pool for coarse-grained parameter-point
 // dispatch (corner/TEMP sweeps), with results slotted by index so
@@ -185,6 +188,21 @@ public:
     /// run() with one sparse injection per right-hand side.
     void run_injections(const linearized_snapshot& snap, const std::vector<real>& freqs_hz,
                         const std::vector<injection>& injections, const sink& out) const;
+
+    /// Called once per frequency index with diag[i] = (Y^-1)(k, k) for
+    /// k = unknowns[i]; same concurrency and lifetime rules as sink.
+    using diag_sink = std::function<void(std::size_t fi, std::span<const cplx> diag)>;
+
+    /// Driving-point entries of Y(j 2 pi f)^-1 at the given unknowns for
+    /// every sweep frequency: one refactorization plus one selected
+    /// inversion (numeric_lu::inverse_diagonal) per frequency instead of
+    /// one back-solve per unknown. Same chunking, shared symbolic object
+    /// and refactor guard as run(); the warm start is never used (the
+    /// inversion needs exact factors of each Y(jw)).
+    void run_inverse_diagonal(const linearized_snapshot& snap,
+                              const std::vector<real>& freqs_hz,
+                              const std::vector<std::size_t>& unknowns,
+                              const diag_sink& out) const;
 
     /// Dispatch fn(0..count-1) on the shared pool (at most resolved_threads
     /// in flight). Used for parameter-point sweeps; fn must be thread-safe.

@@ -58,7 +58,7 @@ namespace {
     __attribute__((target("avx512f"))) inline __m512d cmul4(__m512d l, __m512d vre,
                                                             __m512d vim) noexcept
     {
-        const __m512d lswap = _mm512_permute_pd(l, 0x55); // [li, lr] pairs
+        const __m512d lswap = _mm512_shuffle_pd(l, l, 0x55); // [li, lr] pairs
         return _mm512_fmaddsub_pd(l, vre, _mm512_mul_pd(lswap, vim));
     }
 

@@ -11,7 +11,8 @@
 //     object frequency to frequency. Its solve_in_place / solve_batch
 //     back-solve whole RHS batches in one L and one U traversal without
 //     a single heap allocation, which is what makes the sweep hot loop
-//     allocation-free.
+//     allocation-free; inverse_diagonal reads diag(A^-1) straight from
+//     the factors by selected inversion.
 //
 // sparse_lu.h keeps the original one-object facade on top of this pair
 // for one-shot factor-and-solve call sites.
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -1477,7 +1479,207 @@ public:
         return x;
     }
 
+    /// Diagonal entries of A^-1 for a set of unknowns straight from the
+    /// current factors: out[i] = (A^-1)(unknowns[i], unknowns[i]).
+    ///
+    /// Takahashi / Erisman-Tinney selected inversion. With P A Q = L U,
+    /// A^-1 = Q Z P for Z = (L U)^-1, so the entry asked for is
+    /// Z(qinv k, pinv k). Z is evaluated only on the pattern of
+    /// (L + U)^T, which fill makes closed under the recurrences
+    /// (Z L = U^-1 and U Z = L^-1, both triangular):
+    ///   Z(t, t) = 1 / U(t, t) - sum_{k > t} Z(t, k) L(k, t)
+    ///   Z(t, m) = -sum_{k > m} Z(t, k) L(k, m)                  (m < t)
+    ///   Z(m, t) = -(1 / U(m, m)) sum_{k > m} U(m, k) Z(k, t)   (m < t)
+    /// For t = n-1 .. 0: the diagonal, then row t of Z leftwards (over
+    /// U's column t) and column t upwards (over L's row t). Each entry is
+    /// one sparse dot product with L's column m or U's row m against row
+    /// or column t of Z held in a dense scratch vector; everything it
+    /// reads is either earlier in the same row/column or was written at a
+    /// larger t. That is the Takahashi operation count, about twice one
+    /// refactorization, instead of one full back-solve per unknown.
+    /// Z(c, r) lives in the slot of the L/U entry (r, c).
+    ///
+    /// An unknown whose (pinv k, qinv k) is not in the L + U pattern
+    /// (no structural diagonal in A and none created by fill) falls back
+    /// to a unit solve against the same factors. Reads the CSC values,
+    /// valid in both the column and the supernodal mode. The row index
+    /// and the Z buffer are allocated on the first call; later calls do
+    /// not allocate. Non-const (instance scratch): per-worker use only.
+    void inverse_diagonal(std::span<const std::size_t> unknowns, std::span<T> out)
+    {
+        if (out.size() != unknowns.size())
+            throw numeric_error("numeric_lu: inverse_diagonal output has wrong length");
+        if (sel_row_ptr_.empty())
+            init_selected_inverse();
+        const std::size_t n = sym_->size();
+        const std::size_t* lcol_ptr = sym_->lcol_ptr().data();
+        const std::size_t* lrow = sym_->lrow().data();
+        const std::size_t* ucol_ptr = sym_->ucol_ptr().data();
+        const std::size_t* urow = sym_->urow().data();
+        const std::size_t* row_ptr = sel_row_ptr_.data();
+        const std::size_t* diag = sel_diag_.data();
+        const std::uint32_t* col = sel_col_.data();
+        const std::uint32_t* slot = sel_slot_.data();
+        const T* lval = lval_.data();
+        const std::size_t nu = uval_.size();
+        T* __restrict z = sel_z_.data();
+        T* __restrict w = sel_w_.data();
+        T* __restrict uv = sel_uv_.data();
+        T* __restrict rdiag = sel_rdiag_.data();
+
+        // U by rows, in row-index order, for the column-upward dots, and
+        // the reciprocal pivots.
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t e = diag[r] + 1; e < row_ptr[r + 1]; ++e)
+                uv[e] = uval_[slot[e]];
+            rdiag[r] = T{1.0} / uval_[ucol_ptr[r + 1] - 1];
+        }
+
+        for (std::size_t t = n; t-- > 0;) {
+            const std::size_t udiag = ucol_ptr[t + 1] - 1;
+            const std::size_t lb = lcol_ptr[t];
+            const std::size_t le = lcol_ptr[t + 1];
+            const T ztt = rdiag[t] - dot_(z + nu + lb, lval + lb, le - lb);
+            z[udiag] = ztt;
+
+            // Row t of Z leftwards, over U's column t; w starts as the
+            // part right of the diagonal (the slots of L's column t).
+            for (std::size_t p = lb; p < le; ++p)
+                w[lrow[p]] = z[nu + p];
+            w[t] = ztt;
+            for (std::size_t p = udiag; p-- > ucol_ptr[t];) {
+                const std::size_t m = urow[p];
+                const T v = -dot_gather_(lval, w, lrow, lcol_ptr[m], lcol_ptr[m + 1]);
+                z[p] = v;
+                w[m] = v;
+            }
+            for (std::size_t p = ucol_ptr[t]; p <= udiag; ++p)
+                w[urow[p]] = T{};
+            for (std::size_t p = lb; p < le; ++p)
+                w[lrow[p]] = T{};
+
+            // Column t of Z upwards, over L's row t; w starts as the
+            // part below the diagonal (the slots of U's row t).
+            for (std::size_t e = diag[t] + 1; e < row_ptr[t + 1]; ++e)
+                w[col[e]] = z[slot[e]];
+            w[t] = ztt;
+            for (std::size_t e = diag[t]; e-- > row_ptr[t];) {
+                const std::size_t m = col[e];
+                const T v = -cmul_(dot_gather_(uv, w, col, diag[m] + 1, row_ptr[m + 1]),
+                                   rdiag[m]);
+                z[slot[e]] = v;
+                w[m] = v;
+            }
+            for (std::size_t e = row_ptr[t]; e < row_ptr[t + 1]; ++e)
+                w[col[e]] = T{};
+        }
+
+        for (std::size_t i = 0; i < unknowns.size(); ++i) {
+            const std::size_t k = unknowns[i];
+            if (k >= n)
+                throw numeric_error("numeric_lu: inverse_diagonal unknown out of range");
+            if (sel_inv_[k] != sel_none) {
+                out[i] = z[sel_inv_[k]];
+                continue;
+            }
+            std::fill(sel_rhs_.begin(), sel_rhs_.end(), T{});
+            sel_rhs_[k] = T{1.0};
+            solve_in_place(sel_rhs_.data());
+            out[i] = sel_rhs_[k];
+        }
+    }
+
 private:
+    /// sum_{e in [b, end)} x[e] * v[idx[e]], in two interleaved partial
+    /// sums so consecutive terms do not wait on one accumulator.
+    template <class Idx>
+    [[nodiscard]] static T dot_gather_(const T* __restrict x, const T* __restrict v,
+                                       const Idx* __restrict idx, std::size_t b,
+                                       std::size_t end) noexcept
+    {
+        T acc0{};
+        T acc1{};
+        for (; b + 1 < end; b += 2) {
+            acc0 += cmul_(x[b], v[idx[b]]);
+            acc1 += cmul_(x[b + 1], v[idx[b + 1]]);
+        }
+        if (b < end)
+            acc0 += cmul_(x[b], v[idx[b]]);
+        return acc0 + acc1;
+    }
+
+    /// sum_{e < len} x[e] * y[e].
+    [[nodiscard]] static T dot_(const T* __restrict x, const T* __restrict y,
+                                std::size_t len) noexcept
+    {
+        T acc{};
+        for (std::size_t e = 0; e < len; ++e)
+            acc += cmul_(x[e], y[e]);
+        return acc;
+    }
+
+    /// Row index of the L + U pattern plus the Z slot of every unknown's
+    /// inverse-diagonal entry (inverse_diagonal's one-time set-up).
+    void init_selected_inverse()
+    {
+        const std::size_t n = sym_->size();
+        const auto& lcol_ptr = sym_->lcol_ptr();
+        const auto& lrow = sym_->lrow();
+        const auto& ucol_ptr = sym_->ucol_ptr();
+        const auto& urow = sym_->urow();
+        const std::size_t nu = uval_.size();
+        const std::size_t nl = lval_.size();
+        if (nu + nl >= sel_none)
+            throw numeric_error("numeric_lu: factors too large for inverse_diagonal");
+
+        // Rows of L + U, entries in ascending column order (columns are
+        // visited in order, so a counting sort keeps each row sorted).
+        sel_row_ptr_.assign(n + 1, 0);
+        for (std::size_t p = 0; p < nu; ++p)
+            ++sel_row_ptr_[urow[p] + 1];
+        for (std::size_t p = 0; p < nl; ++p)
+            ++sel_row_ptr_[lrow[p] + 1];
+        for (std::size_t r = 0; r < n; ++r)
+            sel_row_ptr_[r + 1] += sel_row_ptr_[r];
+        std::vector<std::size_t> next(sel_row_ptr_.begin(), sel_row_ptr_.end() - 1);
+        sel_col_.resize(nu + nl);
+        sel_slot_.resize(nu + nl);
+        sel_diag_.resize(n);
+        const auto put = [&](std::size_t row, std::size_t col, std::size_t slot) {
+            const std::size_t e = next[row]++;
+            sel_col_[e] = static_cast<std::uint32_t>(col);
+            sel_slot_[e] = static_cast<std::uint32_t>(slot);
+        };
+        for (std::size_t c = 0; c < n; ++c) {
+            // Row c holds its L entries (columns < c) so far; the
+            // diagonal, last in U's column c, lands next.
+            sel_diag_[c] = next[c];
+            for (std::size_t p = ucol_ptr[c]; p < ucol_ptr[c + 1]; ++p)
+                put(urow[p], c, p);
+            for (std::size_t p = lcol_ptr[c]; p < lcol_ptr[c + 1]; ++p)
+                put(lrow[p], c, nu + p);
+        }
+
+        // (A^-1)(k, k) = Z(qinv k, pinv k), held by the L/U entry
+        // (pinv k, qinv k) when the pattern has one.
+        sel_inv_.assign(n, sel_none);
+        for (std::size_t c = 0; c < n; ++c) {
+            const std::size_t k = sym_->q()[c];
+            const std::size_t r = sym_->pinv()[k];
+            const auto first = sel_col_.begin() + static_cast<std::ptrdiff_t>(sel_row_ptr_[r]);
+            const auto last = sel_col_.begin() + static_cast<std::ptrdiff_t>(sel_row_ptr_[r + 1]);
+            const auto it = std::lower_bound(first, last, c);
+            if (it != last && *it == c)
+                sel_inv_[k] = sel_slot_[static_cast<std::size_t>(it - sel_col_.begin())];
+        }
+
+        sel_z_.assign(nu + nl, T{});
+        sel_uv_.assign(nu + nl, T{});
+        sel_w_.assign(n, T{});
+        sel_rdiag_.assign(n, T{});
+        sel_rhs_.assign(n, T{});
+    }
+
     [[nodiscard]] static double max_l1(const std::vector<T>& v) noexcept
     {
         double m = 0.0;
@@ -1548,6 +1750,20 @@ private:
     std::size_t sn_max_sub_ = 0;
     std::vector<double> sn_plane_tr_; ///< blocked solve: sub-row lanes (re)
     std::vector<double> sn_plane_ti_; ///< blocked solve: sub-row lanes (im)
+    // inverse_diagonal (built on its first call). The row index lists
+    // the L + U entries row by row, columns ascending; Z slots number the
+    // U entries first, then the L entries offset by nnz(U).
+    static constexpr std::uint32_t sel_none = 0xffffffffu;
+    std::vector<std::size_t> sel_row_ptr_; ///< row -> range of the row index
+    std::vector<std::uint32_t> sel_col_;   ///< row index -> column of the entry
+    std::vector<std::uint32_t> sel_slot_;  ///< row index -> Z slot of the entry
+    std::vector<std::size_t> sel_diag_;    ///< row -> place of its diagonal in the row index
+    std::vector<std::uint32_t> sel_inv_;   ///< unknown -> Z slot of (A^-1)(k, k)
+    std::vector<T> sel_z_;                 ///< Z on the pattern of (L + U)^T, by Z slot
+    std::vector<T> sel_uv_;                ///< U values in row-index order
+    std::vector<T> sel_w_;                 ///< dense row or column t of Z, zero between uses
+    std::vector<T> sel_rdiag_;             ///< 1 / U(t, t)
+    std::vector<T> sel_rhs_;               ///< unit solve of an unknown outside the pattern
 };
 
 } // namespace acstab::numeric

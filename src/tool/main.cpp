@@ -729,7 +729,7 @@ volatile std::sig_atomic_t g_serve_shutdown = 0;
 extern "C" void serve_shutdown_handler(int)
 {
     if (g_serve_shutdown < 2)
-        ++g_serve_shutdown;
+        g_serve_shutdown = g_serve_shutdown + 1;
 }
 
 /// acstab serve [--socket PATH | --stdio] [--max-concurrent M] ...: the
