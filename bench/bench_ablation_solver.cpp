@@ -283,8 +283,7 @@ std::vector<std::vector<real>> allnodes_pr1_path(spice::circuit& c, const std::v
 /// pattern, refactor per frequency, batched multi-RHS, threaded.
 std::vector<std::vector<real>> allnodes_engine(spice::circuit& c, const std::vector<real>& op,
                                                const std::vector<real>& freqs, real gshunt,
-                                               std::size_t threads, bool shared_symbolic = true,
-                                               std::size_t rhs_block = 32)
+                                               std::size_t threads, std::size_t rhs_block = 32)
 {
     c.finalize();
     const std::size_t nodes = c.node_count();
@@ -302,7 +301,6 @@ std::vector<std::vector<real>> allnodes_engine(spice::circuit& c, const std::vec
     std::vector<std::vector<real>> magnitude(nodes, std::vector<real>(freqs.size(), 0.0));
     engine::sweep_engine_options eopt;
     eopt.threads = threads;
-    eopt.shared_symbolic = shared_symbolic;
     eopt.rhs_block = rhs_block;
     engine::sweep_engine(eopt).run_injections(
         snap, freqs, injections,
@@ -443,12 +441,10 @@ void print_solver_path_ablation()
     const std::vector<mode> modes = {
         {"pr1_path", "PR 1 path (per-worker symbolic, alloc solves)",
          [&] { return allnodes_pr1_path(c, op.solution, freqs, gshunt); }},
-        {"per_chunk_unbatched", "per-chunk symbolic, unbatched",
-         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, false, 1); }},
         {"shared_symbolic", "shared symbolic, unbatched",
-         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, true, 1); }},
+         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, 1); }},
         {"shared_batched", "shared symbolic + batched solves",
-         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, true, 32); }},
+         [&] { return allnodes_engine(c, op.solution, freqs, gshunt, 1, 32); }},
     };
 
     double pr1_ms = 0.0;

@@ -189,7 +189,6 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
         aopt.fit_tol = opt.fit_tol;
         aopt.engine.threads = opt.threads;
         aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
         const engine::adaptive_sweep sweep(aopt);
         const engine::adaptive_sweep_result rs
             = sweep.run_injections(snap_s, injections, {{0, port}});
@@ -229,7 +228,6 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
         engine::sweep_engine_options eopt;
         eopt.threads = opt.threads;
         eopt.solver = opt.solver;
-        eopt.tuning = opt.tuning;
         const engine::sweep_engine eng(eopt);
         res.z_source.resize(res.freq_hz.size());
         res.z_load.resize(res.freq_hz.size());

@@ -54,9 +54,6 @@ struct impedance_options {
     /// element at the partition node shunts it straight to ground (an RLC
     /// tank), where connectivity alone cannot tell the sides apart.
     std::vector<std::string> source_elements;
-    /// Sparse-solver tuning (ordering / SIMD kernel / warm start)
-    /// forwarded to the sweep engine.
-    engine::solver_tuning tuning;
     spice::dc_options dc;
 };
 

@@ -55,7 +55,6 @@ loop_gain_result measure_loop_gain(spice::circuit& c, const std::string& probe_v
         aopt.fit_tol = opt.fit_tol;
         aopt.engine.threads = opt.threads;
         aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
         const engine::adaptive_sweep_result res = engine::adaptive_sweep(aopt).run_injections(
             snap, injections,
             {{0, static_cast<std::size_t>(node_x)}, {0, static_cast<std::size_t>(node_y)},
@@ -69,7 +68,6 @@ loop_gain_result measure_loop_gain(spice::circuit& c, const std::string& probe_v
         engine::sweep_engine_options eopt;
         eopt.threads = opt.threads;
         eopt.solver = opt.solver;
-        eopt.tuning = opt.tuning;
         const engine::sweep_engine eng(eopt);
         out.freq_hz = freqs_hz;
         out.factorizations = freqs_hz.size();

@@ -55,9 +55,6 @@ struct loop_gain_options {
     bool adaptive = false;
     real fit_tol = 1e-6;
     std::size_t anchors_per_decade = 4;
-    /// Sparse-solver tuning (ordering / SIMD kernel / warm start)
-    /// forwarded to the sweep engine.
-    engine::solver_tuning tuning;
     spice::dc_options dc;
 };
 

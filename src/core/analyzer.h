@@ -57,8 +57,8 @@ struct stability_options {
     bool skip_forced_nodes = true;
     /// Relative natural-frequency tolerance when grouping nodes into loops.
     real group_rel_tol = 0.12;
-    /// Sparse-solver tuning (column ordering, SIMD batch kernel,
-    /// warm-started refactorization) forwarded to the sweep engine.
+    /// Sparse-solver oracle selectors forwarded to the sweep engine; the
+    /// defaults are the one product configuration (see solver_tuning).
     engine::solver_tuning tuning;
     /// Options for the underlying operating-point solve.
     spice::dc_options dc;

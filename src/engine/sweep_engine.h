@@ -6,12 +6,17 @@
 //   * the frequency grid is partitioned into contiguous chunks dispatched
 //     on the shared thread_pool (deterministic partition for a given
 //     thread count, so results are reproducible run to run);
+//   * one solver configuration, with no user-facing knobs: approximate
+//     minimum degree ordering, supernodal refactorization and the SIMD
+//     batch kernel (solver_tuning keeps the alternatives only as test and
+//     bench oracles);
 //   * the symbolic LU (pivot order, L/U patterns) is computed ONCE per
 //     snapshot at the grid's middle frequency and shared read-only by all
-//     workers; per frequency each worker assembles the snapshot into its
-//     CSC workspace and refactors numerically in place, with a dense-probe
-//     residual guard that falls back to a fresh local factorization when
-//     the reused pivot order degrades (or hits an exact zero pivot);
+//     workers; at every frequency each worker assembles the snapshot into
+//     its CSC workspace and refactors numerically in place, with a
+//     growth witness and dense-probe residual guard that fall back to a
+//     fresh local factorization when the reused pivot order degrades (or
+//     hits an exact zero pivot);
 //   * right-hand sides are back-solved in batches: one traversal of L and
 //     one of U per batch of up to rhs_block columns, with zero heap
 //     allocations in the steady-state loop;
@@ -39,71 +44,39 @@
 
 namespace acstab::engine {
 
-/// Sparse-solver tuning shared by every frequency-domain analysis (the
-/// stability analyzer, loop gain, impedance partitions, spice::ac_sweep
-/// and the farm executor all forward one of these into their engine
-/// options; the CLI exposes it as --order / --no-simd / --warm).
+/// Sparse-solver selectors. The product path runs exactly one
+/// configuration — approximate-minimum-degree ordering, the SIMD batch
+/// kernel and supernodal refactorization, i.e. these defaults — and no
+/// command line flag or plan key reaches them. They are oracle selectors
+/// for tests and benches, not user settings: the natural order, exact
+/// minimum degree, the scalar kernel and the column numeric path stay
+/// only as references the default configuration is compared against.
+/// Every selector changes speed (or fill), never answers beyond
+/// rounding.
 struct solver_tuning {
     /// Fill-reducing column pre-ordering of the shared symbolic LU.
-    /// Approximate minimum degree by default: fill within a few percent
-    /// of exact minimum degree everywhere we measure, with an ordering
-    /// cost that stays flat to hundreds of thousands of nodes. `amd`
-    /// (exact) and the cheap `count`/`none` heuristics remain as escape
-    /// hatches; the ordering never changes answers, only speed.
+    /// Approximate minimum degree: fill within a few percent of exact
+    /// minimum degree everywhere we measure, with an ordering cost that
+    /// stays flat to hundreds of thousands of nodes. `none` is the
+    /// fill-guard baseline and `amd` (exact) the fill-quality reference.
     numeric::column_ordering ordering = numeric::column_ordering::amd_approx;
     /// Vectorize the batched back-solve across the contiguous RHS block
     /// (numeric_lu's split real/imag SIMD kernel). Deterministic for a
     /// given batch shape, so thread count still never changes results;
     /// scalar and SIMD answers agree to rounding, not bit-for-bit.
     bool simd = true;
-    /// Frequency-coherence warm start: keep the neighboring frequency
-    /// point's numeric factors and iterate batched refinement against
-    /// the freshly assembled Y(jw) instead of refactoring, falling back
-    /// to a cold refactor through the two-tier guard (the free growth
-    /// witness, then the per-right-hand-side backward-error contract of
-    /// the refinement itself). Every accepted solve satisfies the same
-    /// backward-error tolerance as the cold guard (refactor_guard_tol).
-    /// Pays off once a factorization costs more than a handful of
-    /// batched back-solves — large fill-heavy circuits (meshes), not
-    /// near-tridiagonal ladders. OFF by default: the warm path makes a
-    /// chunk's results depend on the frequencies it solved before, so
-    /// results would vary with the thread count's chunk boundaries —
-    /// opt in per run (bench harnesses, serial sweeps, --warm).
-    bool warm_start = false;
     /// Supernodal/blocked numeric path: refactorization runs the blocked
     /// elimination over the symbolic supernode partition and the batched
-    /// back-solve walks dense panels (numeric_lu::set_supernodal). ON by
-    /// default — it is a pure speed knob; blocked and column answers
-    /// agree to rounding (CI-guarded at 1e-12) exactly like the SIMD
-    /// kernel. --no-supernodal is the escape hatch / ablation axis.
+    /// back-solve walks dense panels (numeric_lu::set_supernodal). false
+    /// selects the column-at-a-time path, the oracle blocked answers are
+    /// CI-guarded against (1e-12).
     bool supernodal = true;
-    /// Pipelined warm start, the batched-regime variant of warm_start:
-    /// while a worker back-solves one grid point's RHS batches, the NEXT
-    /// point's matrix is assembled into a spare workspace and refactored
-    /// concurrently on a shared-pool worker; reaching that point adopts
-    /// the finished factors instead of refactoring on the critical path.
-    /// The lookahead refactorization runs on the same assembled values a
-    /// cold refactor would use and the adopted factors pass the cold
-    /// path's growth/probe guard, so results are BIT-IDENTICAL to the
-    /// cold path — unlike warm_start nothing is served stale and no
-    /// refinement is involved. Wins when spare cores exist to overlap
-    /// factor with solve; on a core-starved host the lookahead instead
-    /// timeslices against the solves and doubles the live factor
-    /// working set (~1.1-1.2x over cold at 8k unknowns, single-core).
-    /// OFF by default because it spends a second core per worker —
-    /// results do not depend on thread count or chunk boundaries
-    /// (--warm-pipeline).
-    bool warm_pipeline = false;
 };
 
 /// Live solver counters, aggregated across workers (relaxed atomics).
-/// Attach via sweep_engine_options::stats to observe warm-start behavior
-/// (the size-scaling bench reports these per configuration).
+/// Attach via sweep_engine_options::stats.
 struct sweep_stats {
-    std::atomic<std::size_t> cold_factors{0};   ///< full numeric refactorizations
-    std::atomic<std::size_t> warm_accepts{0};   ///< warm: stale factors served; pipelined: lookahead factors adopted
-    std::atomic<std::size_t> warm_fallbacks{0}; ///< warm attempts that went cold
-    std::atomic<std::size_t> warm_refinements{0}; ///< batched refinement solves
+    std::atomic<std::size_t> cold_factors{0}; ///< numeric refactorizations
 };
 
 struct sweep_engine_options {
@@ -122,11 +95,6 @@ struct sweep_engine_options {
     /// computed inside the refactor loop) while the probe solve + SpMV
     /// are only paid when the reused pivot order looks stale.
     real refactor_growth_limit = 1e4;
-    /// Share one symbolic factorization (computed at the sweep's middle
-    /// frequency, cached on the snapshot) across all workers. When false
-    /// each chunk runs its own symbolic analysis, seeded at the chunk's
-    /// middle frequency — kept as an ablation/bisection axis.
-    bool shared_symbolic = true;
     /// Angular frequency at which the shared symbolic factorization is
     /// seeded. 0 (the default) uses the middle of each run's grid; the
     /// adaptive driver pins it to the band's midpoint so its many small
@@ -137,18 +105,8 @@ struct sweep_engine_options {
     /// worker-local staging to O(rhs_block * n) while still amortizing
     /// each L/U traversal across the batch; 1 disables batching.
     std::size_t rhs_block = 32;
-    /// Ordering / kernel / warm-start tuning (see solver_tuning).
+    /// Ordering / kernel oracle selectors (see solver_tuning).
     solver_tuning tuning;
-    /// Largest frequency ratio between a candidate point and the last
-    /// cold-factored point still eligible for a warm-started solve; the
-    /// stale-factor refinement contracts the error by roughly that
-    /// relative frequency step per iteration, so eligibility is capped
-    /// where convergence to refactor_guard_tol stays cheaper than a
-    /// refactor.
-    real warm_ratio_limit = 1.1;
-    /// Refinement iterations per right-hand side before a warm solve
-    /// gives up and falls back to a cold refactor.
-    std::size_t warm_max_refine = 8;
     /// Optional live counters (not owned; must outlive the run).
     sweep_stats* stats = nullptr;
 };
@@ -197,8 +155,7 @@ public:
     /// every sweep frequency: one refactorization plus one selected
     /// inversion (numeric_lu::inverse_diagonal) per frequency instead of
     /// one back-solve per unknown. Same chunking, shared symbolic object
-    /// and refactor guard as run(); the warm start is never used (the
-    /// inversion needs exact factors of each Y(jw)).
+    /// and refactor guard as run().
     void run_inverse_diagonal(const linearized_snapshot& snap,
                               const std::vector<real>& freqs_hz,
                               const std::vector<std::size_t>& unknowns,

@@ -59,11 +59,6 @@ struct campaign_spec {
     bool adaptive = false;
     real fit_tol = 1e-6;
     std::size_t anchors_per_decade = 4;
-    /// Sparse-solver tuning (column ordering / SIMD kernel / warm start),
-    /// pinned by the plan so every shard solves identically. Serialized
-    /// only when it differs from the defaults, so plans that do not touch
-    /// it keep their pre-tuning bytes.
-    engine::solver_tuning tuning;
 
     /// The per-point analysis options this spec pins down. `threads` is
     /// the executor's machine-local point-level parallelism; it does not
@@ -71,14 +66,19 @@ struct campaign_spec {
     [[nodiscard]] core::stability_options stability_options(std::size_t threads) const;
     /// The impedance-campaign equivalent (same sweep/adaptive settings).
     [[nodiscard]] analysis::impedance_options impedance_options(std::size_t threads) const;
-    /// The transient-campaign equivalent (step stimulus + the plan's
-    /// solver tuning routed into the shared transient solver). Points are
-    /// single-threaded inside; the executor parallelizes across points.
+    /// The transient-campaign equivalent (step stimulus on the shared
+    /// transient solver). Points are single-threaded inside; the executor
+    /// parallelizes across points.
     [[nodiscard]] core::tran_stability_options transient_options() const;
 };
 
 /// Spec <-> JSON (the plan file). Round trips exactly: numbers use the
 /// shortest round-trip form and map-valued fields serialize name-sorted.
+/// Plans carry no solver settings: every shard runs the engine's one
+/// configuration. campaign_from_json rejects a plan written by an older
+/// build that still names a removed solver mode (`order`, `simd`, `warm`,
+/// `supernodal` or `warm_pipeline` under `sweep`) instead of silently
+/// running it differently.
 [[nodiscard]] json_value to_json(const campaign_spec& spec);
 [[nodiscard]] campaign_spec campaign_from_json(const json_value& doc);
 

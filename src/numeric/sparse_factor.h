@@ -59,16 +59,13 @@ namespace acstab::numeric {
 
 /// Column pre-ordering applied before the pivot-selecting elimination.
 enum class column_ordering {
-    /// Natural order (ablation/bisection baseline).
+    /// Natural order (the fill-guard baseline and test oracle).
     none,
-    /// Ascending nonzero-count order — the seed's cheap static heuristic.
-    /// Good on ladders, degenerates to the natural order on meshes where
-    /// every column has the same degree.
-    count,
     /// Minimum external degree on A + A^T (amd_order.h): re-ranks the
     /// remaining columns after every elimination with exact degrees.
     /// Fill matches amd_approx to a few percent; the ordering itself is
-    /// the slower of the two at 100k+ nodes.
+    /// the slower of the two at 100k+ nodes. Kept as the fill-quality
+    /// reference amd_approx is tested against.
     amd,
     /// Approximate minimum degree (supervariables + the approximate
     /// external-degree bound + aggressive absorption, amd_order.h): the
@@ -165,11 +162,6 @@ private:
         std::iota(q_.begin(), q_.end(), std::size_t{0});
         switch (opt.ordering) {
         case column_ordering::none:
-            break;
-        case column_ordering::count:
-            std::stable_sort(q_.begin(), q_.end(), [&a](std::size_t i, std::size_t j) {
-                return a.col_ptr()[i + 1] - a.col_ptr()[i] < a.col_ptr()[j + 1] - a.col_ptr()[j];
-            });
             break;
         case column_ordering::amd:
             q_ = minimum_degree_order(n_, a.col_ptr(), a.row_idx());

@@ -138,10 +138,8 @@ public:
         multiply_into(x.data(), y.data());
     }
 
-    /// Pointer form of the same SpMV, for callers whose vectors live in
-    /// larger staging blocks (the warm-start refinement measures one
-    /// residual per batched right-hand-side column). x and y must not
-    /// alias and must hold cols()/rows() elements.
+    /// Pointer form of the same SpMV, without the length check. x and y
+    /// must not alias and must hold cols()/rows() elements.
     void multiply_into(const T* x, T* y) const
     {
         std::fill(y, y + rows_, T{});

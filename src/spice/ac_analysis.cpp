@@ -52,7 +52,6 @@ ac_result ac_sweep(circuit& c, const std::vector<real>& freqs_hz, const std::vec
         aopt.fit_tol = opt.fit_tol;
         aopt.engine.threads = opt.threads;
         aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
         std::vector<engine::adaptive_channel> channels(snap.size());
         for (std::size_t k = 0; k < snap.size(); ++k)
             channels[k] = {0, k};
@@ -70,7 +69,6 @@ ac_result ac_sweep(circuit& c, const std::vector<real>& freqs_hz, const std::vec
     engine::sweep_engine_options eopt;
     eopt.threads = opt.threads;
     eopt.solver = opt.solver;
-    eopt.tuning = opt.tuning;
     const engine::sweep_engine eng(eopt);
 
     res.freq_hz = freqs_hz;

@@ -47,16 +47,6 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
         else if (key == "--anchors-per-decade")
             opt.anchors_per_decade
                 = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
-        else if (key == "--order")
-            opt.order = need_value(key);
-        else if (key == "--no-simd")
-            opt.no_simd = true;
-        else if (key == "--warm")
-            opt.warm = true;
-        else if (key == "--no-supernodal")
-            opt.no_supernodal = true;
-        else if (key == "--warm-pipeline")
-            opt.warm_pipeline = true;
         else if (key == "--size")
             opt.size = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
         else if (key == "--solver-stats")

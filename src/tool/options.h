@@ -32,18 +32,6 @@ struct cli_options {
     bool csv = false;
     bool annotate = false;
     bool all_nodes = false;
-    /// Sparse-solver tuning: --order amd-approx|amd|count|none column
-    /// pre-ordering (empty = the default, amd-approx), --no-simd scalar
-    /// batch kernel, --warm frequency-coherence warm-started
-    /// refactorization, --no-supernodal column-at-a-time numeric path
-    /// (ablation; supernodal is the default), --warm-pipeline pipelined
-    /// warm start (refactor the next frequency point concurrently with
-    /// this point's batched solves; results bit-identical to cold).
-    std::string order;
-    bool no_simd = false;
-    bool warm = false;
-    bool no_supernodal = false;
-    bool warm_pipeline = false;
     /// Target circuit node count for `acstab gen` (--size).
     std::size_t size = 0;
     /// `acstab tran`: print the shared transient solver's counters

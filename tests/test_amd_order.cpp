@@ -1,8 +1,8 @@
 // The minimum-degree column pre-ordering (numeric/amd_order.h): the
 // permutation must be valid and deterministic on any pattern, degrade to
 // something sensible on structures where ordering cannot help, and — the
-// reason it exists — beat the nonzero-count heuristic by a wide margin
-// on 2-D mesh patterns, where count degenerates to the natural order.
+// reason it exists — beat the natural order by a wide margin on 2-D mesh
+// patterns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,11 +187,11 @@ TEST(amd_order, approx_deterministic_across_calls)
     EXPECT_EQ(q1, q2);
 }
 
-/// The PR's headline fill claim, at test scale: on a generated ~1k-node
-/// RC mesh the count heuristic (equal column degrees -> natural order)
-/// fills at least 2x more than minimum degree. CI re-asserts this at
-/// 2k nodes from the bench JSON.
-TEST(amd_order, mesh_fill_at_least_2x_better_than_count)
+/// The headline fill claim, at test scale: on a generated ~1k-node RC
+/// mesh the natural order fills at least 2x more than approximate
+/// minimum degree, the product ordering. CI re-asserts this at 2k nodes
+/// from the bench JSON.
+TEST(amd_order, mesh_fill_at_least_2x_better_than_natural_order)
 {
     gen::gen_options gopt;
     gopt.size = 1024;
@@ -208,16 +208,16 @@ TEST(amd_order, mesh_fill_at_least_2x_better_than_count)
         const numeric::symbolic_lu<cplx> sym(work, lopt);
         return sym.lower_nnz() + sym.upper_nnz();
     };
-    const std::size_t count_nnz = fill(numeric::column_ordering::count);
-    const std::size_t amd_nnz = fill(numeric::column_ordering::amd);
-    EXPECT_GE(count_nnz, 2 * amd_nnz)
-        << "count " << count_nnz << " vs amd " << amd_nnz << " L+U nonzeros";
+    const std::size_t natural_nnz = fill(numeric::column_ordering::none);
+    const std::size_t approx_nnz = fill(numeric::column_ordering::amd_approx);
+    EXPECT_GE(natural_nnz, 2 * approx_nnz)
+        << "none " << natural_nnz << " vs amd-approx " << approx_nnz << " L+U nonzeros";
 
     // The approximate variant's degree bounds may reorder ties, but its
     // fill must stay within 25% of exact minimum degree on the classic
     // mesh stress (measured slack is a few percent; 25% leaves room for
     // platform-stable-but-different tie cascades).
-    const std::size_t approx_nnz = fill(numeric::column_ordering::amd_approx);
+    const std::size_t amd_nnz = fill(numeric::column_ordering::amd);
     EXPECT_LE(approx_nnz, amd_nnz + amd_nnz / 4)
         << "amd-approx " << approx_nnz << " vs amd " << amd_nnz << " L+U nonzeros";
 }

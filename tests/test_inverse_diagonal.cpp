@@ -329,22 +329,6 @@ TEST(inverse_diagonal, engine_matches_injections_through_fresh_factor)
     }
 }
 
-TEST(inverse_diagonal, engine_ignores_the_warm_start)
-{
-    // Selected inversion reads the factors as exact factors of Y(jw), so
-    // the warm start (stale factors plus refinement) must not apply: the
-    // diagonals equal the cold sweep's bit for bit.
-    // 40 points per decade keeps neighbours inside the warm start's
-    // eligibility window.
-    spice::parsed_netlist mesh = load_generated("rcmesh", 400);
-    const engine::linearized_snapshot snap = injection_snapshot(mesh.ckt);
-    const std::vector<real> freqs = numeric::log_grid(1e4, 1e6, 40);
-    engine::sweep_engine_options eopt;
-    const auto cold = engine_diagonal(snap, mesh.ckt.node_count(), eopt, freqs);
-    eopt.tuning.warm_start = true;
-    EXPECT_EQ(engine_diagonal(snap, mesh.ckt.node_count(), eopt, freqs), cold);
-}
-
 TEST(inverse_diagonal, engine_dense_reference_solver_agrees)
 {
     // The dense reference solver has no sparse factors to invert; it

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
@@ -383,6 +384,34 @@ TEST(serve_e2e, malformed_oversized_and_overdeep_frames_get_structured_errors)
 
     fx.stop();
     EXPECT_EQ(fx.summary.protocol_errors, 3u);
+    EXPECT_EQ(fx.summary.accepted, 0u);
+}
+
+TEST(serve_e2e, plan_naming_a_removed_solver_mode_gets_an_error_frame)
+{
+    // A plan from a build that still serialized solver modes: refused at
+    // admission with an error frame naming the key, and the server keeps
+    // serving.
+    json_value plan = to_json(small_campaign());
+    json_value sweep = plan.at("sweep");
+    sweep.set("warm", json_value::boolean(true));
+    plan.set("sweep", std::move(sweep));
+    serve_fixture fx("removedmode");
+    fx.start();
+    client c(fx);
+    c.send("{\"op\":\"submit\",\"id\":\"old\",\"plan\":" + plan.dump() + "}\n");
+    const std::optional<json_value> refused = c.read_frame("error", 10.0);
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->at("id").as_string(), "old");
+    const std::string& msg = refused->at("error").as_string();
+    EXPECT_NE(msg.find("'sweep.warm'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("farm plan"), std::string::npos) << msg;
+
+    c.send("{\"op\":\"ping\"}\n");
+    EXPECT_TRUE(c.read_frame("pong", 10.0).has_value());
+
+    fx.stop();
+    EXPECT_EQ(fx.summary.protocol_errors, 1u);
     EXPECT_EQ(fx.summary.accepted, 0u);
 }
 

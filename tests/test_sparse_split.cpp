@@ -1,7 +1,7 @@
 // The symbolic/numeric sparse-LU split behind the sweep engine:
 // solve_batch must match repeated single solves bit for bit, the
-// shared-symbolic engine path must match the per-chunk path (serial and
-// threaded), and a zero pivot under a reused pivot order must leave the
+// shared-symbolic engine path must match the dense reference solver
+// (serial and threaded), and a zero pivot under a reused pivot order must leave the
 // shared symbolic object intact while the fresh-factor fallback recovers.
 // Runs under the ASan/UBSan CI job like every other test.
 #include <gtest/gtest.h>
@@ -96,19 +96,20 @@ TEST(sparse_split, solve_in_place_matches_allocating_solve)
     }
 }
 
-// --- shared symbolic vs per-chunk engine paths ------------------------------
+// --- shared symbolic vs the dense reference ---------------------------------
 
 std::vector<std::vector<cplx>> run_allnodes(const engine::linearized_snapshot& snap,
                                             const std::vector<real>& freqs, std::size_t threads,
-                                            bool shared_symbolic, std::size_t rhs_block,
-                                            engine::solver_tuning tuning = {})
+                                            std::size_t rhs_block,
+                                            engine::solver_tuning tuning = {},
+                                            spice::solver_kind solver = spice::solver_kind::sparse)
 {
     std::vector<engine::sweep_engine::injection> injections;
     for (std::size_t k = 0; k < snap.node_count(); ++k)
         injections.push_back({k, cplx{1.0, 0.0}});
     engine::sweep_engine_options eopt;
     eopt.threads = threads;
-    eopt.shared_symbolic = shared_symbolic;
+    eopt.solver = solver;
     eopt.rhs_block = rhs_block;
     eopt.tuning = tuning;
     std::vector<std::vector<cplx>> sol(freqs.size() * injections.size());
@@ -134,7 +135,7 @@ real max_rel_err(const std::vector<std::vector<cplx>>& a, const std::vector<std:
     return worst;
 }
 
-TEST(sparse_split, shared_symbolic_matches_per_chunk_factorization)
+TEST(sparse_split, shared_symbolic_matches_dense_reference)
 {
     spice::circuit c;
     (void)circuits::build_opamp_buffer(c);
@@ -145,14 +146,11 @@ TEST(sparse_split, shared_symbolic_matches_per_chunk_factorization)
     const engine::linearized_snapshot snap(c, op.solution, sopt);
     const std::vector<real> freqs = numeric::log_space(1e3, 1e9, 120);
 
-    const auto per_chunk = run_allnodes(snap, freqs, 1, /*shared=*/false, 32);
+    const auto dense = run_allnodes(snap, freqs, 1, 32, {}, spice::solver_kind::dense);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const auto shared = run_allnodes(snap, freqs, threads, /*shared=*/true, 32);
-        EXPECT_LT(max_rel_err(per_chunk, shared), 1e-7) << threads << " threads";
+        const auto shared = run_allnodes(snap, freqs, threads, 32);
+        EXPECT_LT(max_rel_err(dense, shared), 1e-7) << threads << " threads";
     }
-    // The per-chunk path itself must also agree with its threaded self.
-    const auto per_chunk4 = run_allnodes(snap, freqs, 4, /*shared=*/false, 32);
-    EXPECT_LT(max_rel_err(per_chunk, per_chunk4), 1e-7);
 }
 
 TEST(sparse_split, rhs_block_size_does_not_change_results)
@@ -167,16 +165,16 @@ TEST(sparse_split, rhs_block_size_does_not_change_results)
 
     // Under the default (SIMD) kernel the batch shape may legally change
     // rounding, so block sizes must agree to tolerance, not bytes.
-    const auto batched = run_allnodes(snap, freqs, 1, true, 32);
-    const auto unbatched = run_allnodes(snap, freqs, 1, true, 1);
+    const auto batched = run_allnodes(snap, freqs, 1, 32);
+    const auto unbatched = run_allnodes(snap, freqs, 1, 1);
     EXPECT_LT(max_rel_err(batched, unbatched), 1e-12);
 
     // The scalar kernel is one column at a time regardless of blocking:
     // there the block size must not change a single bit.
     engine::solver_tuning scalar;
     scalar.simd = false;
-    const auto sc_batched = run_allnodes(snap, freqs, 1, true, 32, scalar);
-    const auto sc_unbatched = run_allnodes(snap, freqs, 1, true, 1, scalar);
+    const auto sc_batched = run_allnodes(snap, freqs, 1, 32, scalar);
+    const auto sc_unbatched = run_allnodes(snap, freqs, 1, 1, scalar);
     ASSERT_EQ(sc_batched.size(), sc_unbatched.size());
     for (std::size_t k = 0; k < sc_batched.size(); ++k)
         EXPECT_EQ(sc_batched[k], sc_unbatched[k]) << k; // bit-identical per column

@@ -1,9 +1,23 @@
-// CLI option parsing and ASCII plotting.
+// CLI option parsing (unit and through the real tool binary) and ASCII
+// plotting.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "core/ascii_plot.h"
 #include "tool/options.h"
+
+#ifndef ACSTAB_TOOL_PATH
+#define ACSTAB_TOOL_PATH "acstab"
+#endif
+#ifndef ACSTAB_NETLIST_DIR
+#define ACSTAB_NETLIST_DIR "netlists"
+#endif
 
 namespace {
 
@@ -67,6 +81,35 @@ TEST(cli_options, errors)
     EXPECT_EQ(opt.positionals[0], "-node");
 }
 
+/// Runs the real tool; returns its exit status and captured stderr.
+std::pair<int, std::string> run_tool(const std::string& args)
+{
+    const std::string cmd = std::string(ACSTAB_TOOL_PATH) + " " + args + " 2>&1 >/dev/null";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return {-1, ""};
+    std::string out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr)
+        out += buf;
+    const int status = ::pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+/// The solver has one configuration; its former tuning flags are
+/// ordinary unknown options now.
+TEST(acstab_cli, removed_solver_flags_exit_nonzero)
+{
+    const std::string netlist = std::string(ACSTAB_NETLIST_DIR) + "/rlc_tank.sp";
+    for (const char* flags :
+         {"--warm", "--order amd", "--no-simd", "--no-supernodal", "--warm-pipeline"}) {
+        const auto [status, err]
+            = run_tool("stability " + netlist + " --node tank " + flags);
+        EXPECT_NE(status, 0) << flags;
+        EXPECT_NE(err.find("unknown option"), std::string::npos) << flags << ": " << err;
+    }
+}
+
 TEST(cli_options, farm_grid_specs)
 {
     EXPECT_EQ(parse_value_list("1k,2k,3k"),
@@ -92,7 +135,7 @@ TEST(cli_options, sweep_point_count)
 {
     EXPECT_EQ(sweep_point_count(1e3, 1e6, 10), 31u);
     EXPECT_EQ(sweep_point_count(1e3, 1e4, 40), 41u);
-    EXPECT_THROW(sweep_point_count(1e6, 1e3, 10), analysis_error);
+    EXPECT_THROW(static_cast<void>(sweep_point_count(1e6, 1e3, 10)), analysis_error);
 }
 
 TEST(ascii_plot, renders_extremes_and_title)
