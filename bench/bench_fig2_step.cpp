@@ -6,9 +6,10 @@
 // Also runs the transient solver-path ablation: the seed one-shot path
 // (fresh symbolic analysis + factorization per Newton iteration) against
 // the shared-symbolic path (factor the pattern once, numeric-only
-// refactorization per solve) on the buffer and on a >= 2k-node generated
-// RC mesh, checking the waveforms agree to solver rounding. Emits one
-// machine-readable ACSTAB_BENCH_JSON line for the CI speed guard.
+// refactorization when the assembled values change) on the buffer and
+// on a >= 2k-node generated RC mesh, checking the waveforms agree to
+// solver rounding. Emits one machine-readable ACSTAB_BENCH_JSON line for
+// the CI speed and refactor-count guard.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -76,6 +77,7 @@ struct tran_row {
     double ms = 0.0;
     std::size_t solves = 0;          ///< shared-path Newton solves (0 on oneshot)
     std::size_t symbolic_builds = 0; ///< shared-path symbolic analyses
+    std::size_t refactors = 0;       ///< shared-path numeric factorizations run
     double max_rel_err = 0.0;        ///< vs the oneshot waveform (scale-relative)
 };
 
@@ -136,21 +138,22 @@ void ablate_circuit(const std::string& kind, spice::circuit& c, real tstop, real
     const std::size_t unknowns
         = res_shared.solution.empty() ? 0 : res_shared.solution.front().size();
 
-    tran_rows().push_back({kind, unknowns, "oneshot", ms_oneshot, 0, 0, 0.0});
+    tran_rows().push_back({kind, unknowns, "oneshot", ms_oneshot, 0, 0, 0, 0.0});
     tran_rows().push_back({kind, unknowns, "shared", ms_shared,
                            res_shared.solver.solves, res_shared.solver.symbolic_builds,
-                           err});
+                           res_shared.solver.refactors, err});
     std::printf("%-8s n=%5zu  oneshot %9.2f ms   shared %9.2f ms   %5.2fx   "
-                "max_rel_err %.3g\n",
+                "refactors %zu/%zu   max_rel_err %.3g\n",
                 kind.c_str(), unknowns, ms_oneshot, ms_shared,
-                ms_oneshot / std::max(ms_shared, 1e-9), err);
+                ms_oneshot / std::max(ms_shared, 1e-9), res_shared.solver.refactors,
+                res_shared.solver.solves, err);
 }
 
 void run_tran_ablation(bool quick)
 {
     std::puts("==============================================================================");
     std::puts("Transient solver-path ablation: one-shot factorization per Newton iteration");
-    std::puts("vs shared symbolic + numeric-only refactorization (same Newton iteration,");
+    std::puts("vs shared symbolic + refactor-on-change (same Newton iteration,");
     std::puts("waveforms must agree to solver rounding)");
     std::puts("==============================================================================");
     {
@@ -177,9 +180,9 @@ void run_tran_ablation(bool quick)
         const tran_row& r = tran_rows()[i];
         std::printf("%s{\"bench\":\"tran_solver\",\"kind\":\"%s\",\"unknowns\":%zu,"
                     "\"mode\":\"%s\",\"ms\":%.4f,\"solves\":%zu,"
-                    "\"symbolic_builds\":%zu,\"max_rel_err\":%.3g}",
+                    "\"symbolic_builds\":%zu,\"refactors\":%zu,\"max_rel_err\":%.3g}",
                     i == 0 ? "" : ",", r.kind.c_str(), r.unknowns, r.mode.c_str(), r.ms,
-                    r.solves, r.symbolic_builds, r.max_rel_err);
+                    r.solves, r.symbolic_builds, r.refactors, r.max_rel_err);
     }
     std::puts("]");
 }

@@ -3,10 +3,10 @@
 // automatic step halving when Newton stalls.
 //
 // Newton solves run on the shared-symbolic path by default (one symbolic
-// factorization for the whole run, numeric-only refactorization per
-// solve — see tran_solver.h); the seed's one-shot factor-per-solve path
-// is kept behind shared_solver=false as the ablation and equivalence
-// baseline.
+// factorization for the whole run, numeric-only refactorization only when
+// the assembled companion matrix changes — see tran_solver.h); the seed's
+// one-shot factor-per-solve path is kept behind shared_solver=false as
+// the ablation and equivalence baseline.
 #ifndef ACSTAB_SPICE_TRAN_ANALYSIS_H
 #define ACSTAB_SPICE_TRAN_ANALYSIS_H
 
@@ -32,12 +32,12 @@ struct tran_options {
     real abstol = 1e-12;
     solver_kind solver = solver_kind::sparse;
     /// Route every Newton solve through one shared symbolic factorization
-    /// with numeric-only refactorization (tran_solver). OFF selects the
-    /// seed one-shot path — fresh compression + symbolic analysis +
-    /// factorization per Newton iteration. Sparse-only; the dense
-    /// reference solver ignores it. Both paths run the identical Newton
-    /// iteration, so waveforms agree to solver rounding (<= 1e-12,
-    /// CI-guarded).
+    /// that refactors numerically only when the assembled values change
+    /// (tran_solver). OFF selects the seed one-shot path — fresh
+    /// compression + symbolic analysis + factorization per Newton
+    /// iteration. Sparse-only; the dense reference solver ignores it.
+    /// Both paths run the identical Newton iteration, so waveforms agree
+    /// to solver rounding (<= 1e-12, CI-guarded).
     bool shared_solver = true;
     dc_options dc; ///< options for the initial operating point
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -17,17 +18,6 @@ system_builder<real>& tran_solver::begin_stamp()
     builder_.matrix().clear_values_keep_capacity();
     std::fill(builder_.rhs().begin(), builder_.rhs().end(), 0.0);
     return builder_;
-}
-
-bool tran_solver::pattern_matches() const noexcept
-{
-    const auto& entries = builder_.matrix().entries();
-    if (entries.size() != entry_row_.size())
-        return false;
-    for (std::size_t k = 0; k < entries.size(); ++k)
-        if (entries[k].row != entry_row_[k] || entries[k].col != entry_col_[k])
-            return false;
-    return true;
 }
 
 void tran_solver::rebuild_pattern()
@@ -74,29 +64,54 @@ void tran_solver::rebuild_pattern()
     has_pattern_ = false;
     csc_ = numeric::csc_matrix<real>(n_, n_, std::move(col_ptr), std::move(row_idx),
                                      std::vector<real>(slots, 0.0));
-    deposit();
+    (void)deposit(); // matches: the sequence was just recorded
     rebuild_symbolic();
     has_pattern_ = true;
 }
 
 void tran_solver::rebuild_symbolic()
 {
+    // A throwing analysis leaves the old (possibly half-refactored)
+    // factors in place: they must not count as current.
+    factored_.clear();
     numeric::lu_options lu;
     lu.pivot_tol = opt_.pivot_tol;
     sym_ = std::make_shared<const numeric::symbolic_lu<real>>(csc_, lu);
     num_ = std::make_unique<numeric::numeric_lu<real>>(sym_);
     num_->set_supernodal(true);
-    num_->refactor(csc_);
+    refactor();
     ++stats_.symbolic_builds;
 }
 
-void tran_solver::deposit()
+void tran_solver::refactor()
+{
+    // Cleared first: a zero pivot leaves the factors undefined.
+    factored_.clear();
+    ++stats_.refactors;
+    num_->refactor(csc_);
+    factored_ = csc_.values();
+}
+
+bool tran_solver::deposit() noexcept
 {
     const auto& entries = builder_.matrix().entries();
+    if (entries.size() != entry_row_.size())
+        return false;
     auto& values = csc_.values_mut();
     std::fill(values.begin(), values.end(), 0.0);
-    for (std::size_t k = 0; k < entries.size(); ++k)
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+        if (entries[k].row != entry_row_[k] || entries[k].col != entry_col_[k])
+            return false;
         values[slot_[k]] += entries[k].value;
+    }
+    return true;
+}
+
+bool tran_solver::factors_current() const noexcept
+{
+    const auto& values = csc_.values();
+    return !factored_.empty() && factored_.size() == values.size()
+           && std::memcmp(factored_.data(), values.data(), values.size() * sizeof(real)) == 0;
 }
 
 real tran_solver::residual_rel(const std::vector<real>& x)
@@ -120,13 +135,12 @@ std::vector<real> tran_solver::solve()
 
     if (!has_pattern_) {
         rebuild_pattern();
-    } else if (!pattern_matches()) {
+    } else if (!deposit()) {
         ++stats_.pattern_rebuilds;
         rebuild_pattern();
-    } else {
-        deposit();
+    } else if (!factors_current()) {
         try {
-            num_->refactor(csc_);
+            refactor();
         } catch (const numeric_error&) {
             // Zero pivot under the reused order: re-pivot once before
             // declaring the step singular.

@@ -4,27 +4,41 @@
 // iterations — device topology never changes mid-run, only conductance
 // and equivalent-current values do — so the sweep engine's central trick
 // applies to the time domain: run the (AMD-ordered) symbolic analysis
-// ONCE and refactor numerically in place for every Newton solve. Devices
-// still stamp through the familiar system_builder; instead of
-// compressing a fresh CSC matrix and re-running the symbolic analysis
-// per solve, the k-th add() of a stamp pass deposits into a recorded CSC
-// slot (the slot map is built from the first pass's (row, col) entry
-// sequence, sorted exactly like the csc_matrix triplet constructor).
+// ONCE and refactor numerically in place only when the assembled values
+// change. Devices still stamp through the familiar system_builder;
+// instead of compressing a fresh CSC matrix and re-running the symbolic
+// analysis per solve, the k-th add() of a stamp pass deposits into a
+// recorded CSC slot (the slot map is built from the first pass's
+// (row, col) entry sequence, sorted exactly like the csc_matrix triplet
+// constructor).
 //
 // The pattern is *observed*, never assumed: every stamp pass is verified
-// against the recorded (row, col) sequence in O(nnz), because
-// triplet_matrix::add drops exact-zero values — a device conductance
-// crossing zero (a MOSFET entering cutoff, a junction with vanishing gm)
-// changes the stamp sequence even though the topology did not. Any
-// mismatch is a pattern-breaking event: the CSC pattern, slot map and
-// symbolic factorization are rebuilt and the run continues.
+// against the recorded (row, col) sequence in the same O(nnz) pass that
+// deposits its values, because triplet_matrix::add drops exact-zero
+// values — a device conductance crossing zero (a MOSFET entering cutoff,
+// a junction with vanishing gm) changes the stamp sequence even though
+// the topology did not. Any mismatch is a pattern-breaking event: the
+// CSC pattern, slot map and symbolic factorization are rebuilt and the
+// run continues.
 //
-// Numeric safety reuses the PR 2 two-tier guard. The refactorization's
-// element growth is a free witness; when it exceeds growth_limit a
-// single SpMV residual probe checks the solution against the assembled
-// matrix, and a failed probe re-pivots (fresh symbolic analysis on the
-// current values) and re-solves. A zero pivot during refactorization
-// triggers the same re-pivot before the step is declared singular.
+// The values are observed too. The solver keeps a copy of the values its
+// current factors were computed from and refactors only when the
+// deposited values differ from them bit for bit (memcmp, so -0.0 vs 0.0
+// refactors and equal bits always mean identical factors). A linear
+// circuit at a fixed dt assembles the same companion matrix G + alpha*C
+// at every Newton solve of an integration method, so it refactors only
+// when the method (BE kick vs trapezoidal) or dt changes; a nonlinear
+// circuit refactors whenever its Jacobian moves. Waveforms are
+// byte-identical to refactoring on every solve.
+//
+// Numeric safety reuses the sweep engine's two-tier guard, unchanged on
+// every solve. The refactorization's element growth is a free witness;
+// when it exceeds growth_limit a single SpMV residual probe checks the
+// solution against the assembled matrix, and a failed probe re-pivots
+// (fresh symbolic analysis on the current values) and re-solves. A zero
+// pivot during refactorization triggers the same re-pivot before the
+// step is declared singular; the cached values are dropped before any
+// refactor that could throw, so failed factors are never reused.
 #ifndef ACSTAB_SPICE_TRAN_SOLVER_H
 #define ACSTAB_SPICE_TRAN_SOLVER_H
 
@@ -51,6 +65,7 @@ struct tran_solver_options {
 /// Counters for --solver-stats and the equivalence/regression tests.
 struct tran_solver_stats {
     std::size_t solves = 0;           ///< Newton solves served
+    std::size_t refactors = 0;        ///< numeric factorizations run (symbolic builds included)
     std::size_t symbolic_builds = 0;  ///< symbolic analyses run (1 in the steady state)
     std::size_t pattern_rebuilds = 0; ///< stamp-sequence changes observed
     std::size_t guard_probes = 0;     ///< growth witness tripped, residual probed
@@ -66,7 +81,8 @@ public:
     [[nodiscard]] system_builder<real>& begin_stamp();
 
     /// Deposit the stamped values into the fixed CSC pattern, refactor
-    /// against the shared symbolic object and solve for the stamped RHS.
+    /// against the shared symbolic object when they differ from the
+    /// factored values, and solve for the stamped RHS.
     /// Throws numeric_error when the system is singular even under a
     /// fresh pivot order.
     [[nodiscard]] std::vector<real> solve();
@@ -74,16 +90,22 @@ public:
     [[nodiscard]] const tran_solver_stats& stats() const noexcept { return stats_; }
 
 private:
-    /// True when the current stamp sequence matches the recorded one.
-    [[nodiscard]] bool pattern_matches() const noexcept;
     /// Rebuild CSC pattern + slot map from the current triplet entries,
     /// then re-run the symbolic analysis.
     void rebuild_pattern();
     /// Re-run the symbolic analysis on the current CSC values (fresh
     /// pivot order) and refactor.
     void rebuild_symbolic();
-    /// Scatter triplet values into the CSC value array via the slot map.
-    void deposit();
+    /// Check the current stamp sequence against the recorded one and
+    /// scatter its values into the CSC value array via the slot map, in
+    /// one pass. False (values partly written) on a sequence mismatch.
+    [[nodiscard]] bool deposit() noexcept;
+    /// True when the CSC values equal, bit for bit, the values the
+    /// current factors were computed from.
+    [[nodiscard]] bool factors_current() const noexcept;
+    /// Numeric refactorization of the CSC values against the current
+    /// symbolic object; records the values once it succeeds.
+    void refactor();
     /// Relative residual ||Ax - b||_inf / ||b||_inf of a candidate x.
     [[nodiscard]] real residual_rel(const std::vector<real>& x);
 
@@ -100,7 +122,8 @@ private:
 
     std::shared_ptr<const numeric::symbolic_lu<real>> sym_;
     std::unique_ptr<numeric::numeric_lu<real>> num_;
-    std::vector<real> resid_; ///< SpMV probe scratch
+    std::vector<real> factored_; ///< CSC values behind num_ (empty: none)
+    std::vector<real> resid_;    ///< SpMV probe scratch
 
     tran_solver_stats stats_;
 };

@@ -116,9 +116,9 @@ int cmd_tran(spice::circuit& c, const cli_options& opt)
     const std::vector<real> v = spice::node_waveform(c, res, opt.node);
     if (opt.solver_stats)
         std::fprintf(stderr,
-                     "solver: %zu solves, %zu symbolic builds, %zu pattern rebuilds, "
-                     "%zu guard probes, %zu guard rebuilds\n",
-                     res.solver.solves, res.solver.symbolic_builds,
+                     "solver: %zu solves, %zu refactors, %zu symbolic builds, "
+                     "%zu pattern rebuilds, %zu guard probes, %zu guard rebuilds\n",
+                     res.solver.solves, res.solver.refactors, res.solver.symbolic_builds,
                      res.solver.pattern_rebuilds, res.solver.guard_probes,
                      res.solver.guard_rebuilds);
     if (opt.csv) {
