@@ -28,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <new>
 #include <optional>
 #include <span>
@@ -44,7 +45,7 @@
 #include "engine/sweep_engine.h"
 #include "farm/campaign.h"
 #include "farm/executor.h"
-#include "numeric/sparse_lu.h"
+#include "numeric/sparse_factor.h"
 #include "spice/ac_analysis.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
@@ -139,19 +140,29 @@ void emit_json()
     std::puts("]");
 }
 
+/// One AC sweep of the circuit's stimulus through the sweep engine with
+/// the given solver, linearization included (spice::ac_sweep's work).
+void engine_ac(spice::circuit& c, const std::vector<real>& op, const std::vector<real>& freqs,
+               spice::solver_kind kind)
+{
+    const engine::linearized_snapshot snap(c, op, {});
+    engine::sweep_engine_options eopt;
+    eopt.solver = kind;
+    engine::sweep_engine(eopt).run(snap, freqs, {snap.stimulus_rhs()},
+                                   [](std::size_t, std::size_t, std::span<const cplx> sol) {
+                                       benchmark::DoNotOptimize(sol.data());
+                                   });
+}
+
 double time_ac_ms(spice::circuit& c, spice::solver_kind kind, int repeats)
 {
     const spice::dc_result op = spice::dc_operating_point(c);
     std::vector<real> freqs;
     for (int i = 0; i < 20; ++i)
         freqs.push_back(1e3 * std::pow(10.0, i * 0.3));
-    spice::ac_options opt;
-    opt.solver = kind;
     const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < repeats; ++r) {
-        const spice::ac_result res = spice::ac_sweep(c, freqs, op.solution, opt);
-        benchmark::DoNotOptimize(res.solution.data());
-    }
+    for (int r = 0; r < repeats; ++r)
+        engine_ac(c, op.solution, freqs, kind);
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(stop - start).count() / repeats;
 }
@@ -202,13 +213,16 @@ std::vector<std::vector<real>> allnodes_restamp_baseline(spice::circuit& c,
         for (std::size_t i = 0; i < nodes; ++i)
             b.add(static_cast<spice::node_id>(i), static_cast<spice::node_id>(i),
                   cplx{gshunt, 0.0});
-        const spice::factored_system<cplx> fact(b, spice::solver_kind::sparse);
+        numeric::symbolic_lu<cplx>::factor_values seed;
+        auto sym = std::make_shared<const numeric::symbolic_lu<cplx>>(
+            numeric::csc_matrix<cplx>(b.matrix()), numeric::lu_options{}, &seed);
+        numeric::numeric_lu<cplx> lu(std::move(sym), std::move(seed));
         for (std::size_t k = 0; k < nodes; ++k) {
             if (forced[k])
                 continue;
             std::fill(rhs.begin(), rhs.end(), cplx{});
             rhs[k] = cplx{1.0, 0.0};
-            magnitude[k][fi] = std::abs(fact.solve(rhs)[k]);
+            magnitude[k][fi] = std::abs(lu.solve(rhs)[k]);
         }
     }
     return magnitude;
@@ -238,9 +252,15 @@ std::vector<std::vector<real>> allnodes_pr1_path(spice::circuit& c, const std::v
 
     numeric::csc_matrix<cplx> work = snap.make_workspace();
     snap.assemble(to_omega(freqs[freqs.size() / 2]), work);
-    numeric::sparse_lu<cplx>::options lopt;
-    lopt.prepare_refactor = true;
-    std::optional<numeric::sparse_lu<cplx>> lu(std::in_place, work, lopt);
+    std::optional<numeric::numeric_lu<cplx>> lu;
+    // Fresh symbolic analysis of the current matrix, seed values adopted.
+    const auto fresh_factor = [&] {
+        numeric::symbolic_lu<cplx>::factor_values seed;
+        lu.emplace(std::make_shared<const numeric::symbolic_lu<cplx>>(work, numeric::lu_options{},
+                                                                      &seed),
+                   std::move(seed));
+    };
+    fresh_factor();
     bool refactored = false;
 
     std::vector<std::vector<real>> magnitude(nodes, std::vector<real>(freqs.size(), 0.0));
@@ -255,7 +275,7 @@ std::vector<std::vector<real>> allnodes_pr1_path(spice::circuit& c, const std::v
             lu->refactor(work);
             refactored = true;
         } catch (const numeric_error&) {
-            lu.emplace(work, lopt);
+            fresh_factor();
             refactored = false;
         }
         for (std::size_t ri = 0; ri < injections.size(); ++ri) {
@@ -269,7 +289,7 @@ std::vector<std::vector<real>> allnodes_pr1_path(spice::circuit& c, const std::v
                 for (std::size_t i = 0; i < yx.size(); ++i)
                     rnorm = std::max(rnorm, std::abs(yx[i] - rhs[i]));
                 if (rnorm > 1e-10) {
-                    lu.emplace(work, lopt);
+                    fresh_factor();
                     x = lu->solve(rhs);
                 }
             }
@@ -746,12 +766,10 @@ void bm_ladder_ac(benchmark::State& state)
     spice::circuit c;
     circuits::build_rc_ladder(c, static_cast<std::size_t>(state.range(0)));
     const spice::dc_result op = spice::dc_operating_point(c);
-    spice::ac_options opt;
-    opt.solver = state.range(1) == 0 ? spice::solver_kind::dense : spice::solver_kind::sparse;
-    for (auto _ : state) {
-        const spice::ac_result res = spice::ac_sweep(c, {1e6}, op.solution, opt);
-        benchmark::DoNotOptimize(res.solution.data());
-    }
+    const spice::solver_kind kind
+        = state.range(1) == 0 ? spice::solver_kind::dense : spice::solver_kind::sparse;
+    for (auto _ : state)
+        engine_ac(c, op.solution, {1e6}, kind);
     state.SetLabel(state.range(1) == 0 ? "dense" : "sparse");
 }
 BENCHMARK(bm_ladder_ac)->Args({40, 0})->Args({40, 1})->Args({320, 0})->Args({320, 1});

@@ -11,15 +11,17 @@
 //     phase in isolation — approximate minimum-degree ordering, the full
 //     symbolic analysis, one numeric refactorization on the column vs
 //     the supernodal path, and one 24-RHS batched back-solve on each
-//     path (with the blocked-vs-column solution equivalence recorded as
+//     path (the column path's batches take the scalar kernel, the
+//     supernodal path's the blocked one; their equivalence is recorded as
 //     max_rel_err). CI's perf-ratio guard reads the refactor_column /
 //     refactor_supernodal pair of this table.
 //   * sweep ablation: wall time per frequency point of a serial
 //     injection sweep, cold refactor at every frequency, on
-//       amdx_simd      approximate minimum degree + SIMD kernel, column
-//                      numeric path (the oracle and speedup baseline)
-//       amdx_sn_simd   + the supernodal/blocked numeric path (the one
-//                      product configuration)
+//       amdx_column    approximate minimum degree, column numeric path
+//                      with the scalar batch solve (the oracle and
+//                      speedup baseline)
+//       amdx_sn_simd   supernodal/blocked numeric path with the blocked
+//                      batch solve (the one product configuration)
 //     with the answers checked against the baseline. The ablation runs
 //     in both right-hand-side regimes: 24 probes (the all-nodes stability
 //     shape) and 1 probe (the single-node stability / ac / impedance /
@@ -69,7 +71,7 @@ struct row {
     long long lu_nnz = -1;      ///< L+U nonzeros of the symbolic pattern
     double ms_per_freq = -1.0;  ///< sweep wall time / frequency count
     long long factors = -1;     ///< numeric factorizations
-    double max_rel_err = 0.0;   ///< vs the amdx_simd baseline magnitudes
+    double max_rel_err = 0.0;   ///< vs the amdx_column baseline magnitudes
 };
 
 std::vector<row>& results()
@@ -195,7 +197,6 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
             });
 
             numeric::numeric_lu<cplx> col(sym);
-            col.set_batch_kernel(numeric::batch_kernel::simd);
             numeric::numeric_lu<cplx> blk(sym);
             blk.set_batch_kernel(numeric::batch_kernel::simd);
             blk.set_supernodal(true);
@@ -293,7 +294,7 @@ void print_sweep_ablation(const char* title, std::size_t nprobes,
 {
     std::puts("==============================================================================");
     std::printf("%s\n", title);
-    std::puts("      amdx_simd = column numeric path, the speedup baseline");
+    std::puts("      amdx_column = column numeric path, scalar batch solve, the baseline");
     std::puts("==============================================================================");
     std::puts("kind     unknowns  mode            ms/freq   speedup  factors   max err");
     std::puts("------------------------------------------------------------------------------");
@@ -301,7 +302,7 @@ void print_sweep_ablation(const char* title, std::size_t nprobes,
     engine::solver_tuning column;
     column.supernodal = false;
     const std::vector<sweep_mode> modes = {
-        {"amdx_simd", column},
+        {"amdx_column", column},
         {"amdx_sn_simd", engine::solver_tuning{}},
     };
     const std::vector<real> freqs = numeric::log_grid(1e4, 1e7, 40);

@@ -26,7 +26,6 @@ frequency_response measure_response(spice::circuit& c, const std::string& source
         throw analysis_error("bode: source '" + source_name + "' has zero AC magnitude");
 
     spice::dc_options dc = opt.dc;
-    dc.solver = opt.solver;
     dc.gmin = opt.gmin;
     const spice::dc_result op = spice::dc_operating_point(c, dc);
 
@@ -48,7 +47,6 @@ frequency_response measure_response(spice::circuit& c, const std::string& source
         aopt.fit_tol = opt.fit_tol;
         aopt.anchors_per_decade = opt.anchors_per_decade;
         aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
         const engine::adaptive_sweep_result res = engine::adaptive_sweep(aopt).run(
             snap, {snap.stimulus_rhs()}, {{0, static_cast<std::size_t>(*node)}});
         out.freq_hz = res.freq_hz;
@@ -56,7 +54,6 @@ frequency_response measure_response(spice::circuit& c, const std::string& source
         out.h = res.values[0];
     } else {
         spice::ac_options ac;
-        ac.solver = opt.solver;
         ac.gmin = opt.gmin;
         ac.gshunt = opt.gshunt;
         ac.exclusive_source = src;

@@ -23,7 +23,6 @@ struct frequency_response {
 };
 
 struct bode_options {
-    spice::solver_kind solver = spice::solver_kind::sparse;
     real gmin = 1e-12;
     real gshunt = 0.0;
     /// Worker threads for the sweep (1 = serial, 0 = all hardware threads).

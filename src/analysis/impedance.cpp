@@ -157,7 +157,6 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
     const std::size_t port = static_cast<std::size_t>(*c.find_node(node));
 
     spice::dc_options dc = opt.dc;
-    dc.solver = opt.solver;
     dc.gmin = opt.gmin;
     const spice::dc_result op = spice::dc_operating_point(c, dc);
 
@@ -188,7 +187,6 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
         aopt.anchors_per_decade = opt.anchors_per_decade;
         aopt.fit_tol = opt.fit_tol;
         aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
         const engine::adaptive_sweep sweep(aopt);
         const engine::adaptive_sweep_result rs
             = sweep.run_injections(snap_s, injections, {{0, port}});
@@ -227,7 +225,6 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
         res.freq_hz = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
         engine::sweep_engine_options eopt;
         eopt.threads = opt.threads;
-        eopt.solver = opt.solver;
         const engine::sweep_engine eng(eopt);
         res.z_source.resize(res.freq_hz.size());
         res.z_load.resize(res.freq_hz.size());

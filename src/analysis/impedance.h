@@ -45,7 +45,6 @@ struct impedance_options {
     bool adaptive = false;
     real fit_tol = 1e-6;
     std::size_t anchors_per_decade = 4;
-    spice::solver_kind solver = spice::solver_kind::sparse;
     real gmin = 1e-12;
     /// Node-to-ground regularization; also holds up the nodes a side
     /// snapshot loses to the excluded devices.

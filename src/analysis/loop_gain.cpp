@@ -25,7 +25,6 @@ loop_gain_result measure_loop_gain(spice::circuit& c, const std::string& probe_v
         throw analysis_error("loop gain: probe must not touch ground");
 
     spice::dc_options dc = opt.dc;
-    dc.solver = opt.solver;
     dc.gmin = opt.gmin;
     const spice::dc_result op = spice::dc_operating_point(c, dc);
 
@@ -54,7 +53,6 @@ loop_gain_result measure_loop_gain(spice::circuit& c, const std::string& probe_v
         aopt.anchors_per_decade = opt.anchors_per_decade;
         aopt.fit_tol = opt.fit_tol;
         aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
         const engine::adaptive_sweep_result res = engine::adaptive_sweep(aopt).run_injections(
             snap, injections,
             {{0, static_cast<std::size_t>(node_x)}, {0, static_cast<std::size_t>(node_y)},
@@ -67,7 +65,6 @@ loop_gain_result measure_loop_gain(spice::circuit& c, const std::string& probe_v
     } else {
         engine::sweep_engine_options eopt;
         eopt.threads = opt.threads;
-        eopt.solver = opt.solver;
         const engine::sweep_engine eng(eopt);
         out.freq_hz = freqs_hz;
         out.factorizations = freqs_hz.size();

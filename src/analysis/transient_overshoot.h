@@ -23,7 +23,7 @@ struct step_response_metrics {
 struct step_options {
     real tstop = 0.0;     ///< 0 selects 40 / f_estimate when given, else error
     real dt = 0.0;        ///< 0 selects tstop / 4000
-    spice::tran_options tran; ///< further transient knobs (solver, tolerances)
+    spice::tran_options tran; ///< further transient knobs (tolerances, step control)
 };
 
 /// The step must already be encoded in the named source's waveform (e.g.

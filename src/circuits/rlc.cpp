@@ -66,9 +66,10 @@ void build_rc_ladder(spice::circuit& c, std::size_t sections, real r_ohms, real 
     c.add<spice::vsource>("vin", prev, spice::ground_node,
                           spice::waveform_spec::make_ac(1.0, 1.0));
     for (std::size_t k = 0; k < sections; ++k) {
-        const spice::node_id next = c.node("n" + std::to_string(k));
-        c.add<spice::resistor>("r" + std::to_string(k), prev, next, r_ohms);
-        c.add<spice::capacitor>("c" + std::to_string(k), next, spice::ground_node, c_farads);
+        const std::string idx = std::to_string(k);
+        const spice::node_id next = c.node("n" + idx);
+        c.add<spice::resistor>("r" + idx, prev, next, r_ohms);
+        c.add<spice::capacitor>("c" + idx, next, spice::ground_node, c_farads);
         prev = next;
     }
 }

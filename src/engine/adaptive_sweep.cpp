@@ -29,6 +29,9 @@ namespace {
     /// cannot represent (see the saturation bail-out below).
     constexpr std::size_t max_model_order = 48;
 
+    /// Safety valve on fit/refine iterations.
+    constexpr std::size_t max_rounds = 24;
+
     bool same_freq(real a, real b)
     {
         return std::fabs(a - b) <= same_freq_rtol * std::max(std::fabs(a), std::fabs(b));
@@ -88,11 +91,14 @@ namespace {
 
         const std::vector<real> dense
             = numeric::log_grid(opt.fstart, opt.fstop, opt.output_points_per_decade, 8);
-        const std::size_t budget
-            = opt.max_solved_points != 0 ? opt.max_solved_points : dense.size();
-        const real min_gap = opt.min_spacing_decades > 0.0
-            ? opt.min_spacing_decades
-            : 0.25 / static_cast<real>(opt.output_points_per_decade);
+        // Cap on solved frequencies during refinement: the fixed output
+        // grid's size. It caps refinement only; the output validation
+        // below solves its failures after it, so a run can factor more
+        // points than the fixed grid it replaces.
+        const std::size_t budget = dense.size();
+        // Refinement stops bisecting an interval once it is narrower
+        // than a quarter of an output-grid step (in decades).
+        const real min_gap = 0.25 / static_cast<real>(opt.output_points_per_decade);
 
         adaptive_sweep_result res;
         std::vector<solved_sample> samples;
@@ -254,7 +260,7 @@ namespace {
 
             if (flagged.empty())
                 break;
-            if (round >= opt.max_rounds || samples.size() >= budget) {
+            if (round >= max_rounds || samples.size() >= budget) {
                 res.converged = false;
                 break;
             }

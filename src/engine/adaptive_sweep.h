@@ -1,5 +1,9 @@
 // Adaptive frequency-grid driver: rational-interpolated sweeps that
-// factor 5-10x fewer points than the fixed per-decade grid.
+// factor fewer points than the fixed per-decade grid where a low-order
+// rational model fits the responses (about 10x fewer on the shipped
+// netlists). Where it does not, the run can factor more points than the
+// fixed grid: a generated 2k-node RC mesh took 426 factorizations
+// against 301.
 //
 // The fixed-grid engine spends one LU factorization per grid point even
 // where the response is flat. Frequency responses of lumped linear
@@ -25,8 +29,8 @@
 //            the budget is exhausted;
 //   evaluate the dense output grid is evaluated from the fitted model
 //            (exact solved values where available), so downstream
-//            consumers see the same dense, now mildly non-uniform grid
-//            with 5-10x fewer factorizations behind it.
+//            consumers see the same dense, now mildly non-uniform grid,
+//            with fewer factorizations behind it where the model fits.
 //
 // Multi-RHS batches (all-nodes analysis, loop gain's two injections)
 // refine on the worst error over all right-hand sides, so a single
@@ -57,14 +61,6 @@ struct adaptive_sweep_options {
     /// extra solves while keeping margins within rounding of the dense
     /// sweep.
     real fit_tol = 1e-6;
-    /// Refinement stops bisecting an interval once it is narrower than
-    /// this many decades (0 = a quarter of an output-grid step).
-    real min_spacing_decades = 0.0;
-    /// Hard cap on solved frequencies (0 = the fixed output grid's size,
-    /// i.e. adaptive never factors more than the grid it replaces).
-    std::size_t max_solved_points = 0;
-    /// Safety valve on fit/refine iterations.
-    std::size_t max_rounds = 24;
     sweep_engine_options engine;
 };
 

@@ -12,7 +12,7 @@
 // sets once — by stamping the device list at w = 0 and w = 1 and
 // differencing — onto one merged CSC sparsity pattern. Per-frequency
 // assembly is then a single fused value fill (no device dispatch, no
-// triplet sort), and the fixed pattern lets sparse_lu refactor without
+// triplet sort), and the fixed pattern lets numeric_lu refactor without
 // re-running its symbolic analysis.
 //
 // The AC stimulus right-hand side is frequency independent as well and is

@@ -34,7 +34,7 @@ spice::ac_result reference_ac_sweep(spice::circuit& c, const std::vector<real>& 
                 b.add(static_cast<spice::node_id>(i), static_cast<spice::node_id>(i),
                       cplx{opt.gshunt, 0.0});
 
-        res.solution.push_back(solve_system(b, opt.solver));
+        res.solution.push_back(solve_system(b, spice::solver_kind::sparse));
     }
     return res;
 }

@@ -4,8 +4,9 @@
 // and the complex MNA system re-assembled and freshly factored at every
 // frequency point, serially. It exists ONLY so tests and ablation benches
 // can check the engine (linearize-once snapshot + pattern-reusing
-// refactorization + threading) against the direct path; production
-// analyses must not call it.
+// refactorization + threading) against the direct path (it is the
+// pre-engine oracle of test_engine's engine_equivalence tests);
+// production analyses must not call it.
 #ifndef ACSTAB_ENGINE_REFERENCE_SWEEP_H
 #define ACSTAB_ENGINE_REFERENCE_SWEEP_H
 

@@ -61,9 +61,11 @@ struct solver_tuning {
     /// fill-guard baseline and `amd` (exact) the fill-quality reference.
     numeric::column_ordering ordering = numeric::column_ordering::amd_approx;
     /// Vectorize the batched back-solve across the contiguous RHS block
-    /// (numeric_lu's split real/imag SIMD kernel). Deterministic for a
-    /// given batch shape, so thread count still never changes results;
-    /// scalar and SIMD answers agree to rounding, not bit-for-bit.
+    /// (numeric_lu's split real/imag blocked kernel, supernodal mode
+    /// only; column-mode batches always take the scalar kernel).
+    /// Deterministic for a given batch shape, so thread count still never
+    /// changes results; scalar and blocked answers agree to rounding, not
+    /// bit-for-bit.
     bool simd = true;
     /// Supernodal/blocked numeric path: refactorization runs the blocked
     /// elimination over the symbolic supernode partition and the batched
@@ -90,7 +92,7 @@ struct sweep_engine_options {
     real refactor_guard_tol = 1e-10;
     /// Element growth (largest |L| entry of a refactorization) above
     /// which the residual guard actually runs its dense-probe check.
-    /// Fresh threshold pivoting bounds growth by 1/pivot_tol = 10, so a
+    /// Fresh threshold pivoting bounds growth by 1/lu_pivot_tol = 10, so a
     /// modest limit keeps every frequency witnessed for free (growth is
     /// computed inside the refactor loop) while the probe solve + SpMV
     /// are only paid when the reused pivot order looks stale.

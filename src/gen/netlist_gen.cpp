@@ -24,7 +24,9 @@ namespace {
         append_value(out, opt.fstart);
         out += " ";
         append_value(out, opt.fstop);
-        out += " " + std::to_string(opt.points_per_decade) + "\n.end\n";
+        out += ' ';
+        out += std::to_string(opt.points_per_decade);
+        out += "\n.end\n";
     }
 
     /// Hard ceiling on generated node counts. Far above anything the
@@ -87,16 +89,19 @@ std::string ladder_netlist(const gen_options& opt)
     reserve_estimate(out, n, 64, 256);
     out += "* generated RC ladder, " + std::to_string(n) + " sections (acstab gen ladder)\n";
     out += "vin in 0 1 ac 1\n";
+    std::string prev = "in";
     for (std::size_t k = 1; k <= n; ++k) {
-        const std::string prev = k == 1 ? std::string("in") : "n" + std::to_string(k - 1);
-        const std::string node = "n" + std::to_string(k);
-        out += "r" + std::to_string(k) + " " + prev + " " + node + " ";
+        const std::string idx = std::to_string(k);
+        const std::string node = "n" + idx;
+        out += "r" + idx + " " + prev + " " + node + " ";
         append_value(out, opt.r);
-        out += "\nc" + std::to_string(k) + " " + node + " 0 ";
+        out += "\nc" + idx + " " + node + " 0 ";
         append_value(out, opt.c);
         out += "\n";
+        prev = node;
     }
-    append_stability_card(out, "n" + std::to_string((n + 1) / 2), opt);
+    const std::string probe = std::to_string((n + 1) / 2);
+    append_stability_card(out, "n" + probe, opt);
     return out;
 }
 
@@ -105,7 +110,8 @@ std::string rcmesh_netlist(const gen_options& opt)
     check(opt);
     const std::size_t k = std::max<std::size_t>(2, isqrt_round(opt.size));
     const auto node = [](std::size_t i, std::size_t j) {
-        return "n" + std::to_string(i) + "_" + std::to_string(j);
+        const std::string row = std::to_string(i);
+        return "n" + row + "_" + std::to_string(j);
     };
     std::string out;
     reserve_estimate(out, k * k, 96, 256);
@@ -131,7 +137,8 @@ std::string rcmesh_netlist(const gen_options& opt)
                 append_value(out, opt.r);
                 out += "\n";
             }
-            out += "c" + std::to_string(ce++) + " " + node(i, j) + " 0 ";
+            const std::string cap = std::to_string(ce++);
+            out += "c" + cap + " " + node(i, j) + " 0 ";
             append_value(out, opt.c);
             out += "\n";
         }

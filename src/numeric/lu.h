@@ -1,8 +1,9 @@
 // Dense LU factorization with partial pivoting.
 //
 // Works for real and complex scalars; this is the reference solver behind
-// the MNA analyses (the sparse path in sparse_lu.h is the production one,
-// selectable per analysis).
+// the MNA analyses (the sparse path in sparse_factor.h is the production
+// one). solver_kind::dense selects it on stability_options, dc_options and
+// sweep_engine_options, where tests and benches compare against it.
 #ifndef ACSTAB_NUMERIC_LU_H
 #define ACSTAB_NUMERIC_LU_H
 

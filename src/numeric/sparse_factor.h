@@ -14,8 +14,10 @@
 //     allocation-free; inverse_diagonal reads diag(A^-1) straight from
 //     the factors by selected inversion.
 //
-// sparse_lu.h keeps the original one-object facade on top of this pair
-// for one-shot factor-and-solve call sites.
+// A one-shot factor-and-solve builds the symbolic object with its seed
+// values exported and hands them to the numeric half, so the
+// elimination runs once (spice::solve_system, the sweep engine's fresh
+// factorizations).
 #ifndef ACSTAB_NUMERIC_SPARSE_FACTOR_H
 #define ACSTAB_NUMERIC_SPARSE_FACTOR_H
 
@@ -36,24 +38,6 @@
 #include "numeric/sn_kernels.h"
 #include "numeric/sparse_matrix.h"
 #include "numeric/supernode.h"
-
-#ifdef ACSTAB_SN_PROF
-inline unsigned long long acstab_snp[16];
-inline unsigned long long acstab_snp_now()
-{
-    unsigned lo, hi;
-    __asm__ volatile("rdtsc" : "=a"(lo), "=d"(hi));
-    return (static_cast<unsigned long long>(hi) << 32) | lo;
-}
-#define ACSTAB_SNPM(s)                                                                   \
-    do {                                                                                 \
-        const unsigned long long t__ = acstab_snp_now();                                 \
-        acstab_snp[s] += t__ - snp_t;                                                    \
-        snp_t = t__;                                                                     \
-    } while (0)
-#else
-#define ACSTAB_SNPM(s)
-#endif
 
 namespace acstab::numeric {
 
@@ -79,33 +63,25 @@ enum class batch_kernel {
     /// One right-hand side at a time inside the shared L/U traversal;
     /// bit-identical to repeated single solves.
     scalar,
-    /// Split real/imag planes in an rhs-contiguous layout so the inner
-    /// loop over the batch is unit-stride and auto-vectorizes; results
-    /// agree with scalar to rounding (the complex multiply is expanded
-    /// into real mul/adds the compiler may schedule differently).
-    /// Only distinct from scalar for std::complex<double> batches of
-    /// two or more right-hand sides.
+    /// In supernodal mode, the blocked kernel: split real/imag planes in
+    /// an rhs-contiguous layout walked panel by panel, so the inner loop
+    /// over the batch is unit-stride and vectorizes; results agree with
+    /// scalar to rounding. Only distinct from scalar for
+    /// std::complex<double> batches of two or more right-hand sides in
+    /// supernodal mode; column-mode batches take the scalar kernel.
     simd,
 };
 
-/// The one solver options type shared by symbolic_lu and the sparse_lu
-/// facade (which forwards it verbatim), so the ordering knob is defined
-/// exactly once.
+/// Options of the symbolic analysis.
 struct lu_options {
-    /// Diagonal entries within pivot_tol of the column maximum are
-    /// preferred, preserving MNA structure and limiting fill-in.
-    double pivot_tol = 0.1;
     /// Fill-reducing column pre-ordering.
     column_ordering ordering = column_ordering::amd_approx;
-    /// Supernode partition shape for the blocked numeric path: width cap
-    /// of a dense panel, and the relaxed-amalgamation padding bounds
-    /// (see detect_supernodes; 0 / 0.0 keeps the strict partition). The
-    /// partition only affects how the blocked path groups its work —
-    /// factors and solves are identical under any setting.
-    std::size_t sn_max_width = 32;
-    std::size_t sn_relax_zeros = 12;
-    double sn_relax_fill = 0.25;
 };
+
+/// Threshold-pivoting tolerance: diagonal entries within this fraction
+/// of the column maximum are preferred, preserving MNA structure and
+/// limiting fill-in.
+inline constexpr double lu_pivot_tol = 0.1;
 
 /// Immutable symbolic factorization: pivot order, column ordering and the
 /// L/U sparsity patterns (full symbolic reach, so any matrix with the seed
@@ -261,7 +237,7 @@ private:
             if (ipiv == unset || best == 0.0)
                 throw numeric_error("symbolic_lu: singular matrix at column "
                                     + std::to_string(col));
-            if (pinv[col] == unset && std::abs(x[col]) >= opt.pivot_tol * best)
+            if (pinv[col] == unset && std::abs(x[col]) >= lu_pivot_tol * best)
                 ipiv = static_cast<std::ptrdiff_t>(col);
             const T pivot = x[static_cast<std::size_t>(ipiv)];
 
@@ -320,9 +296,11 @@ private:
         }
 
         // The L rows are in pivot space now, which is what the supernode
-        // nesting rule is defined over.
-        sn_ = detect_supernodes(n_, lcol_ptr_, lrow_, opt.sn_max_width,
-                                opt.sn_relax_zeros, opt.sn_relax_fill);
+        // nesting rule is defined over. The partition shape (panel width
+        // cap, relaxed-amalgamation bounds) is detect_supernodes' default;
+        // it only groups the blocked path's work, factors and solves are
+        // identical under any shape.
+        sn_ = detect_supernodes(n_, lcol_ptr_, lrow_);
     }
 
     std::size_t n_ = 0;
@@ -347,8 +325,7 @@ public:
     }
 
     /// Adopt the seed values the symbolic analysis computed anyway, so a
-    /// one-shot factor-and-solve (the sparse_lu facade) does not repeat
-    /// the numeric elimination.
+    /// one-shot factor-and-solve does not repeat the numeric elimination.
     numeric_lu(std::shared_ptr<const symbolic_lu<T>> sym,
                typename symbolic_lu<T>::factor_values&& seed)
         : sym_(std::move(sym)), lval_(std::move(seed.lval)), uval_(std::move(seed.uval)),
@@ -659,9 +636,6 @@ private:
         std::vector<T>& w = work_;
         const std::uint32_t* slot_cur = sn_slots_.data();
         std::uint32_t* pos = sn_pos_.data();
-#ifdef ACSTAB_SN_PROF
-        unsigned long long snp_t = acstab_snp_now();
-#endif
         for (std::size_t k = 0; k < n; ++k) {
             const std::size_t t = sn.col_super[k];
             const std::size_t ft = sn.first[t];
@@ -695,7 +669,6 @@ private:
                 else
                     pancol_t[pos[r]] += a.values()[p];
             }
-            ACSTAB_SNPM(0);
 
             const std::size_t ulast = ucol_ptr[k + 1] - 1;
             std::size_t p = ucol_ptr[k];
@@ -734,7 +707,6 @@ private:
                         scatter_sub1_(w.data(), sn.rows.data() + run->rows, lsub, u0, wsub);
                         panel_sub1_(pancol_t, sl, lsub + wsub, u0, msub - wsub);
                     }
-                    ACSTAB_SNPM(1);
                     ++p;
                     continue;
                 }
@@ -777,7 +749,6 @@ private:
                         uval_[p + e] = u[urow[p + e] - j];
                 }
                 p += cnt;
-                ACSTAB_SNPM(2);
                 if (nc == 0)
                     continue;
 
@@ -798,10 +769,8 @@ private:
                     for (; ii + 1 < nc; ii += 2)
                         mul_sub2_(dst, lc + idx[ii] * lds, u[idx[ii]],
                                   lc + idx[ii + 1] * lds, u[idx[ii + 1]], len);
-                    ACSTAB_SNPM(3);
                     continue;
                 }
-                ACSTAB_SNPM(3);
 
                 // Rectangular update of an off-block source's sub-rows.
                 // One or two contributing columns scatter directly
@@ -842,7 +811,6 @@ private:
                         panel_sub_acc_(pancol_t, sl, tmp + wsub, msub - wsub);
                     }
                 }
-                ACSTAB_SNPM(4);
             }
 
             // The pivot accumulated in the panel; rows above it were all
@@ -862,7 +830,6 @@ private:
                 pancol_t[r] = cmul_(pancol_t[r], rpivot);
             for (std::size_t q = lcol_ptr[k]; q < lcol_ptr[k + 1]; ++q)
                 lval_[q] = pancol_t[lpanel_pos_[q]];
-            ACSTAB_SNPM(5);
         }
     }
 
@@ -871,26 +838,25 @@ public:
     /// Element growth of the last refactor (L1-norm proxies): the larger
     /// of the biggest |L| multiplier and the classical U-side growth
     /// factor max|U| / max|A|. Fresh threshold pivoting bounds the L side
-    /// by 1/pivot_tol and keeps the U side modest; a reused pivot order
+    /// by 1/lu_pivot_tol and keeps the U side modest; a reused pivot order
     /// that has gone stale lets either blow up, so this is the free
     /// staleness witness the sweep engine's guard reads before deciding
     /// whether a residual check (and possibly a fresh factorization) is
     /// warranted.
     [[nodiscard]] double growth() const noexcept { return growth_; }
 
-    /// Select the batched back-solve kernel (default scalar). The SIMD
-    /// kernel grows its split-plane scratch lazily to the largest batch
-    /// seen, so after the first batch of a given width the solve loop is
-    /// allocation-free again.
+    /// Select the batched back-solve kernel (default scalar). The blocked
+    /// kernel that simd selects in supernodal mode grows its split-plane
+    /// scratch lazily to the largest batch seen, so after the first batch
+    /// of a given width the solve loop is allocation-free again.
     void set_batch_kernel(batch_kernel k) noexcept { kernel_ = k; }
-    [[nodiscard]] batch_kernel kernel() const noexcept { return kernel_; }
 
     /// Enable the supernodal/blocked numeric path: refactor() runs the
     /// blocked elimination over the symbolic supernode partition and
     /// solve_batch's SIMD kernel walks dense panels per supernode
     /// instead of CSC columns. The CSC value arrays are maintained in
-    /// both modes, so scalar solves (and the const allocating solve())
-    /// stay valid and blocked-vs-column answers agree to rounding.
+    /// both modes, so scalar solves stay valid and blocked-vs-column
+    /// answers agree to rounding.
     /// Enabling loads the panels from the current CSC values, so factors
     /// adopted from the symbolic seed are usable without a refactor.
     void set_supernodal(bool on)
@@ -1079,11 +1045,8 @@ public:
     void solve_batch(const T* const* b, std::size_t nrhs, T* x)
     {
         if constexpr (std::is_same_v<T, std::complex<double>>) {
-            if (kernel_ == batch_kernel::simd && nrhs >= 2) {
-                if (snmode_)
-                    solve_batch_blocked(b, nrhs, x);
-                else
-                    solve_batch_simd(b, nrhs, x);
+            if (kernel_ == batch_kernel::simd && snmode_ && nrhs >= 2) {
+                solve_batch_blocked(b, nrhs, x);
                 return;
             }
         }
@@ -1146,99 +1109,14 @@ private:
         }
     }
 
-    /// SIMD batch kernel (std::complex<double> only): the batch lives in
-    /// two split real/imag double planes laid out rhs-contiguously
-    /// (lane r of pivot row i at [i * nrhs + r]), so every factor entry is
-    /// loaded once per column while the inner loop over the batch is a
-    /// unit-stride fused multiply-add chain the compiler vectorizes
-    /// across right-hand sides. A column whose lanes are all zero skips
-    /// its update loop entirely (the injection right-hand sides of the
-    /// stability sweeps are mostly zeros). The U diagonal still divides
-    /// through std::complex so both kernels share the same (robustly
-    /// scaled) complex division.
-    void solve_batch_simd(const T* const* b, std::size_t nrhs, T* x)
-    {
-        const std::size_t n = sym_->size();
-        const auto& pinv = sym_->pinv();
-        const auto& qperm = sym_->q();
-        const auto& lcol_ptr = sym_->lcol_ptr();
-        const auto& lrow = sym_->lrow();
-        const auto& ucol_ptr = sym_->ucol_ptr();
-        const auto& urow = sym_->urow();
-
-        if (plane_re_.size() < n * nrhs) {
-            plane_re_.resize(n * nrhs);
-            plane_im_.resize(n * nrhs);
-        }
-        double* __restrict xr = plane_re_.data();
-        double* __restrict xi = plane_im_.data();
-
-        // Scatter into pivot order, splitting the complex lanes.
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t base = pinv[i] * nrhs;
-            for (std::size_t r = 0; r < nrhs; ++r) {
-                xr[base + r] = b[r][i].real();
-                xi[base + r] = b[r][i].imag();
-            }
-        }
-        // Forward solve with unit-diagonal L.
-        for (std::size_t c = 0; c < n; ++c) {
-            const std::size_t cb = c * nrhs;
-            bool any = false;
-            for (std::size_t r = 0; r < nrhs; ++r)
-                any = any || xr[cb + r] != 0.0 || xi[cb + r] != 0.0;
-            if (!any)
-                continue;
-            const std::size_t pe = lcol_ptr[c + 1];
-            for (std::size_t p = lcol_ptr[c]; p < pe; ++p) {
-                const double lr = lval_[p].real();
-                const double li = lval_[p].imag();
-                const std::size_t rb = lrow[p] * nrhs;
-                for (std::size_t r = 0; r < nrhs; ++r) {
-                    const double ar = xr[cb + r];
-                    const double ai = xi[cb + r];
-                    xr[rb + r] -= lr * ar - li * ai;
-                    xi[rb + r] -= lr * ai + li * ar;
-                }
-            }
-        }
-        // Back solve with U (diagonal stored last in each column).
-        for (std::size_t c = n; c-- > 0;) {
-            const std::size_t last = ucol_ptr[c + 1] - 1;
-            const T diag = uval_[last];
-            const std::size_t cb = c * nrhs;
-            bool any = false;
-            for (std::size_t r = 0; r < nrhs; ++r) {
-                const T v = T{xr[cb + r], xi[cb + r]} / diag;
-                xr[cb + r] = v.real();
-                xi[cb + r] = v.imag();
-                any = any || v != T{};
-            }
-            if (!any)
-                continue;
-            for (std::size_t p = ucol_ptr[c]; p < last; ++p) {
-                const double ur = uval_[p].real();
-                const double ui = uval_[p].imag();
-                const std::size_t rb = urow[p] * nrhs;
-                for (std::size_t r = 0; r < nrhs; ++r) {
-                    const double ar = xr[cb + r];
-                    const double ai = xi[cb + r];
-                    xr[rb + r] -= ur * ar - ui * ai;
-                    xi[rb + r] -= ur * ai + ui * ar;
-                }
-            }
-        }
-        // Undo the column ordering while re-interleaving the planes.
-        for (std::size_t r = 0; r < nrhs; ++r) {
-            T* xc = x + r * n;
-            for (std::size_t c = 0; c < n; ++c)
-                xc[qperm[c]] = T{xr[c * nrhs + r], xi[c * nrhs + r]};
-        }
-    }
-
-    /// Blocked split-complex batch kernel (supernodal mode): same plane
-    /// layout and zero-lane skipping as solve_batch_simd, but the L
-    /// forward pass walks dense panels per supernode — a dense
+    /// Blocked split-complex batch kernel (supernodal mode): the batch
+    /// lives in two split real/imag double planes laid out
+    /// rhs-contiguously (lane r of pivot row i at [i * nrhs + r]), so
+    /// every factor entry is loaded once while the inner loop over the
+    /// batch is unit-stride, and a column whose lanes are all zero skips
+    /// its update (the injection right-hand sides of the stability
+    /// sweeps are mostly zeros). The L forward pass walks dense panels
+    /// per supernode — a dense
     /// unit-lower solve on the diagonal block, the rectangular sub-row
     /// update accumulated into contiguous scratch planes and scattered
     /// ONCE per supernode — and the U backward pass solves each
@@ -1432,42 +1310,14 @@ public:
         solve_batch(&b, 1, x);
     }
 
-    /// Allocating single solve. Touches no instance scratch, so — unlike
-    /// solve_batch/solve_in_place — concurrent calls on one shared
-    /// factorization are safe (the sparse_lu facade relies on this).
-    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const
+    /// Allocating single solve (the scalar kernel, like solve_in_place).
+    /// Non-const (uses the instance scratch): per-worker use only.
+    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b)
     {
-        const std::size_t n = sym_->size();
-        if (b.size() != n)
+        if (b.size() != sym_->size())
             throw numeric_error("numeric_lu: right-hand side has wrong length");
-        const auto& pinv = sym_->pinv();
-        const auto& qperm = sym_->q();
-        const auto& lcol_ptr = sym_->lcol_ptr();
-        const auto& lrow = sym_->lrow();
-        const auto& ucol_ptr = sym_->ucol_ptr();
-        const auto& urow = sym_->urow();
-        std::vector<T> y(n);
-        for (std::size_t i = 0; i < n; ++i)
-            y[pinv[i]] = b[i];
-        for (std::size_t c = 0; c < n; ++c) {
-            const T yc = y[c];
-            if (yc == T{})
-                continue;
-            for (std::size_t p = lcol_ptr[c]; p < lcol_ptr[c + 1]; ++p)
-                y[lrow[p]] -= lval_[p] * yc;
-        }
-        for (std::size_t c = n; c-- > 0;) {
-            const std::size_t last = ucol_ptr[c + 1] - 1;
-            const T xc = y[c] / uval_[last];
-            y[c] = xc;
-            if (xc == T{})
-                continue;
-            for (std::size_t p = ucol_ptr[c]; p < last; ++p)
-                y[urow[p]] -= uval_[p] * xc;
-        }
-        std::vector<T> x(n);
-        for (std::size_t c = 0; c < n; ++c)
-            x[qperm[c]] = y[c];
+        std::vector<T> x = b;
+        solve_in_place(x.data());
         return x;
     }
 
@@ -1689,8 +1539,8 @@ private:
     std::vector<T> work_;    ///< refactor accumulator (pivot space)
     std::vector<T> scratch_; ///< permutation staging for batched solves
     batch_kernel kernel_ = batch_kernel::scalar;
-    std::vector<double> plane_re_; ///< SIMD kernel: real lanes, grown lazily
-    std::vector<double> plane_im_; ///< SIMD kernel: imaginary lanes
+    std::vector<double> plane_re_; ///< blocked kernel: real lanes, grown lazily
+    std::vector<double> plane_im_; ///< blocked kernel: imaginary lanes
     double growth_ = 0.0;
     // Supernodal mode (set_supernodal). Panels are column-major dense
     // blocks, one per supernode: rows 0..w-1 hold the diagonal block

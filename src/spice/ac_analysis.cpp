@@ -51,7 +51,6 @@ ac_result ac_sweep(circuit& c, const std::vector<real>& freqs_hz, const std::vec
         aopt.anchors_per_decade = opt.anchors_per_decade;
         aopt.fit_tol = opt.fit_tol;
         aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
         std::vector<engine::adaptive_channel> channels(snap.size());
         for (std::size_t k = 0; k < snap.size(); ++k)
             channels[k] = {0, k};
@@ -68,7 +67,6 @@ ac_result ac_sweep(circuit& c, const std::vector<real>& freqs_hz, const std::vec
 
     engine::sweep_engine_options eopt;
     eopt.threads = opt.threads;
-    eopt.solver = opt.solver;
     const engine::sweep_engine eng(eopt);
 
     res.freq_hz = freqs_hz;

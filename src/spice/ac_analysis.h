@@ -17,7 +17,6 @@
 namespace acstab::spice {
 
 struct ac_options {
-    solver_kind solver = solver_kind::sparse;
     real gmin = 1e-12;
     /// Node-to-ground shunt conductance regularizing floating nodes in the
     /// complex system (mirrors the DC gshunt).

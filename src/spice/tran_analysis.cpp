@@ -60,8 +60,8 @@ namespace {
 
     /// Newton iteration for one candidate time step. Updates x in place
     /// and reports how the loop ended so the halving ladder can react.
-    /// `shared` selects the shared-symbolic solver; null runs the seed
-    /// one-shot path. Both run the identical iteration and convergence
+    /// `shared` selects the shared-symbolic solver; null runs the one-shot
+    /// oracle. Both run the identical iteration and convergence
     /// test — only the linear-solve plumbing differs.
     step_outcome solve_step(circuit& c, std::vector<real>& x, const tran_params& p,
                             const tran_options& opt, tran_solver* shared)
@@ -80,7 +80,7 @@ namespace {
                 } else {
                     system_builder<real> b(n);
                     stamp_system(c, x, p, opt.dc.gshunt, b);
-                    x_new = solve_system(b, opt.solver);
+                    x_new = solve_system(b, solver_kind::sparse);
                 }
             } catch (const numeric_error&) {
                 out.singular = true;
@@ -143,7 +143,7 @@ tran_result transient(circuit& c, const tran_options& opt)
     // One shared symbolic factorization serves every Newton solve of the
     // run; the one-shot path re-factors from scratch per solve.
     std::unique_ptr<tran_solver> shared;
-    if (opt.shared_solver && opt.solver == solver_kind::sparse)
+    if (opt.shared_solver)
         shared = std::make_unique<tran_solver>(c.unknown_count());
 
     tran_result res;

@@ -2,11 +2,13 @@
 // at t=0 and after every source breakpoint, Newton iteration per step, and
 // automatic step halving when Newton stalls.
 //
-// Newton solves run on the shared-symbolic path by default (one symbolic
+// Newton solves run on the shared-symbolic path (one symbolic
 // factorization for the whole run, numeric-only refactorization only when
-// the assembled companion matrix changes — see tran_solver.h); the seed's
-// one-shot factor-per-solve path is kept behind shared_solver=false as
-// the ablation and equivalence baseline.
+// the assembled companion matrix changes — see tran_solver.h). The
+// one-shot factor-per-solve path (spice::solve_system) is kept behind
+// shared_solver=false only as the oracle the shared path is checked
+// against: the tran_solver equivalence tests, bench_e2e's mesh-step
+// check and the CI "Guard the shared transient solver" baseline.
 #ifndef ACSTAB_SPICE_TRAN_ANALYSIS_H
 #define ACSTAB_SPICE_TRAN_ANALYSIS_H
 
@@ -30,14 +32,14 @@ struct tran_options {
     real reltol = 1e-3;
     real vntol = 1e-6;
     real abstol = 1e-12;
-    solver_kind solver = solver_kind::sparse;
     /// Route every Newton solve through one shared symbolic factorization
     /// that refactors numerically only when the assembled values change
-    /// (tran_solver). OFF selects the seed one-shot path — fresh
-    /// compression + symbolic analysis + factorization per Newton
-    /// iteration. Sparse-only; the dense reference solver ignores it.
-    /// Both paths run the identical Newton iteration, so waveforms agree
-    /// to solver rounding (<= 1e-12, CI-guarded).
+    /// (tran_solver). OFF selects the one-shot oracle — fresh compression
+    /// + symbolic analysis + factorization per Newton iteration — that
+    /// the equivalence tests, bench_e2e mesh-step and the CI transient
+    /// guard compare the shared path against. Both paths run the
+    /// identical Newton iteration, so waveforms agree to solver rounding
+    /// (<= 1e-12, CI-guarded).
     bool shared_solver = true;
     dc_options dc; ///< options for the initial operating point
 };

@@ -8,10 +8,17 @@
 
 namespace acstab::spice {
 
-tran_solver::tran_solver(std::size_t n, const tran_solver_options& opt)
-    : n_(n), opt_(opt), builder_(n), resid_(n, 0.0)
-{
-}
+namespace {
+
+    /// Element growth above which the residual probe runs.
+    constexpr real growth_limit = 1e4;
+    /// Relative residual above which the reused pivot order is declared
+    /// stale and the symbolic factorization is rebuilt.
+    constexpr real residual_tol = 1e-10;
+
+} // namespace
+
+tran_solver::tran_solver(std::size_t n) : n_(n), builder_(n), resid_(n, 0.0) {}
 
 system_builder<real>& tran_solver::begin_stamp()
 {
@@ -74,9 +81,7 @@ void tran_solver::rebuild_symbolic()
     // A throwing analysis leaves the old (possibly half-refactored)
     // factors in place: they must not count as current.
     factored_.clear();
-    numeric::lu_options lu;
-    lu.pivot_tol = opt_.pivot_tol;
-    sym_ = std::make_shared<const numeric::symbolic_lu<real>>(csc_, lu);
+    sym_ = std::make_shared<const numeric::symbolic_lu<real>>(csc_);
     num_ = std::make_unique<numeric::numeric_lu<real>>(sym_);
     num_->set_supernodal(true);
     refactor();
@@ -152,9 +157,9 @@ std::vector<real> tran_solver::solve()
     std::vector<real> x = builder_.rhs();
     num_->solve_in_place(x.data());
 
-    if (num_->growth() > opt_.growth_limit) {
+    if (num_->growth() > growth_limit) {
         ++stats_.guard_probes;
-        if (residual_rel(x) > opt_.residual_tol) {
+        if (residual_rel(x) > residual_tol) {
             ++stats_.guard_rebuilds;
             rebuild_symbolic();
             x = builder_.rhs();

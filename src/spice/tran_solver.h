@@ -33,12 +33,13 @@
 //
 // Numeric safety reuses the sweep engine's two-tier guard, unchanged on
 // every solve. The refactorization's element growth is a free witness;
-// when it exceeds growth_limit a single SpMV residual probe checks the
-// solution against the assembled matrix, and a failed probe re-pivots
-// (fresh symbolic analysis on the current values) and re-solves. A zero
-// pivot during refactorization triggers the same re-pivot before the
-// step is declared singular; the cached values are dropped before any
-// refactor that could throw, so failed factors are never reused.
+// when it exceeds the growth limit (1e4, tran_solver.cpp) a single SpMV
+// residual probe checks the solution against the assembled matrix, and a
+// failed probe re-pivots (fresh symbolic analysis on the current values)
+// and re-solves. A zero pivot during refactorization triggers the same
+// re-pivot before the step is declared singular; the cached values are
+// dropped before any refactor that could throw, so failed factors are
+// never reused.
 #ifndef ACSTAB_SPICE_TRAN_SOLVER_H
 #define ACSTAB_SPICE_TRAN_SOLVER_H
 
@@ -52,16 +53,6 @@
 
 namespace acstab::spice {
 
-struct tran_solver_options {
-    /// Threshold-pivoting tolerance of the symbolic analysis.
-    double pivot_tol = 0.1;
-    /// Element growth above which the residual probe runs (PR 2 witness).
-    real growth_limit = 1e4;
-    /// Relative residual above which the reused pivot order is declared
-    /// stale and the symbolic factorization is rebuilt.
-    real residual_tol = 1e-10;
-};
-
 /// Counters for --solver-stats and the equivalence/regression tests.
 struct tran_solver_stats {
     std::size_t solves = 0;           ///< Newton solves served
@@ -74,7 +65,7 @@ struct tran_solver_stats {
 
 class tran_solver {
 public:
-    explicit tran_solver(std::size_t n, const tran_solver_options& opt = {});
+    explicit tran_solver(std::size_t n);
 
     /// Builder for the next stamp pass, with matrix and RHS cleared. The
     /// triplet capacity and the CSC pattern behind it are reused.
@@ -110,7 +101,6 @@ private:
     [[nodiscard]] real residual_rel(const std::vector<real>& x);
 
     std::size_t n_;
-    tran_solver_options opt_;
     system_builder<real> builder_;
 
     // Fixed CSC pattern and the stamp-sequence slot map over it.

@@ -111,7 +111,6 @@ int cmd_tran(spice::circuit& c, const cli_options& opt)
     spice::tran_options topt;
     topt.tstop = opt.tstop;
     topt.dt = opt.dt;
-    topt.shared_solver = !opt.oneshot;
     const spice::tran_result res = spice::transient(c, topt);
     const std::vector<real> v = spice::node_waveform(c, res, opt.node);
     if (opt.solver_stats)
@@ -768,8 +767,7 @@ void print_usage()
     std::puts("  op          DC operating point");
     std::puts("  ac          AC sweep          (--node N)");
     std::puts("  tran        transient         (--node N --tstop T [--dt D]");
-    std::puts("              [--solver-stats] [--oneshot: per-iteration refactorization,");
-    std::puts("              the pre-shared-solver baseline])");
+    std::puts("              [--solver-stats: shared-solver counters on stderr])");
     std::puts("  stability   stability plots   (--node N | --all)");
     std::puts("  impedance   source/load impedance-ratio (Nyquist-like) criterion at a");
     std::puts("              partition node    (--node N [--source e1,e2,..]); reports");
@@ -813,7 +811,8 @@ void print_usage()
     std::puts("  --node NAME --all --probe NAME --source ELEM,.. --fstart HZ --fstop HZ");
     std::puts("  --ppd N");
     std::puts("  --tstop S --dt S --threads N (0 = all cores) --csv --annotate");
-    std::puts("  --adaptive (rational-fit adaptive grid: factor 5-10x fewer points)");
+    std::puts("  --adaptive (rational-fit adaptive grid: fewer factorizations where a");
+    std::puts("             low-order model fits; large meshes can take more)");
     std::puts("  --fit-tol TOL --anchors-per-decade N (adaptive sweep tuning)");
     std::puts("  --temps/--corner/--param (campaign grid) --shard k/N --out FILE --table");
 }

@@ -51,8 +51,6 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
             opt.size = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
         else if (key == "--solver-stats")
             opt.solver_stats = true;
-        else if (key == "--oneshot")
-            opt.oneshot = true;
         else if (key == "--step")
             opt.step = spice::parse_spice_number(need_value(key));
         else if (key == "--csv")

@@ -37,10 +37,6 @@ struct cli_options {
     /// `acstab tran`: print the shared transient solver's counters
     /// (solves, symbolic builds, pattern rebuilds, guard activity).
     bool solver_stats = false;
-    /// `acstab tran`: run the seed one-shot solve path (fresh
-    /// factorization per Newton iteration) instead of the shared
-    /// symbolic path — the ablation/equivalence baseline.
-    bool oneshot = false;
     /// Step amplitude for transient campaigns (--step; volts on a pulsed
     /// source, amps for nodal injection).
     real step = 0.01;

@@ -19,7 +19,7 @@
 #include "engine/sweep_engine.h"
 #include "engine/thread_pool.h"
 #include "numeric/interpolation.h"
-#include "numeric/sparse_lu.h"
+#include "numeric/sparse_factor.h"
 #include "spice/ac_analysis.h"
 #include "spice/dc_analysis.h"
 #include "spice/devices/passive.h"
@@ -97,12 +97,22 @@ TEST(engine_equivalence, dense_solver_path_matches_sparse)
     spice::circuit c = make_rlc_circuit();
     const spice::dc_result op = spice::dc_operating_point(c);
     const std::vector<real> freqs = numeric::log_space(1e4, 1e8, 40);
+    const engine::linearized_snapshot snap(c, op.solution, {});
 
-    spice::ac_options dense;
-    dense.solver = spice::solver_kind::dense;
-    const spice::ac_result a = spice::ac_sweep(c, freqs, op.solution, dense);
-    const spice::ac_result b = spice::ac_sweep(c, freqs, op.solution);
-    EXPECT_LT(max_rel_error(a, b), 1e-9);
+    const auto sweep = [&](spice::solver_kind kind) {
+        engine::sweep_engine_options eopt;
+        eopt.solver = kind;
+        spice::ac_result res;
+        res.solution.resize(freqs.size());
+        engine::sweep_engine(eopt).run(
+            snap, freqs, {snap.stimulus_rhs()},
+            [&res](std::size_t fi, std::size_t, std::span<const cplx> sol) {
+                res.solution[fi].assign(sol.begin(), sol.end());
+            });
+        return res;
+    };
+    EXPECT_LT(max_rel_error(sweep(spice::solver_kind::dense), sweep(spice::solver_kind::sparse)),
+              1e-9);
 }
 
 // The historical algorithm: two full AC runs through probe manipulation
@@ -280,9 +290,7 @@ TEST(sparse_refactor, matches_fresh_factorization)
 
     numeric::csc_matrix<cplx> work = snap.make_workspace();
     snap.assemble(to_omega(1e3), work);
-    numeric::sparse_lu<cplx>::options lopt;
-    lopt.prepare_refactor = true;
-    numeric::sparse_lu<cplx> lu(work, lopt);
+    numeric::numeric_lu<cplx> lu(std::make_shared<const numeric::symbolic_lu<cplx>>(work));
 
     std::vector<cplx> rhs(snap.size(), cplx{});
     rhs[3] = cplx{1.0, 0.0};
@@ -291,24 +299,13 @@ TEST(sparse_refactor, matches_fresh_factorization)
         snap.assemble(to_omega(f), work);
         lu.refactor(work);
         const std::vector<cplx> x = lu.solve(rhs);
-        const numeric::sparse_lu<cplx> fresh(work);
+        numeric::numeric_lu<cplx> fresh(std::make_shared<const numeric::symbolic_lu<cplx>>(work));
+        fresh.refactor(work);
         const std::vector<cplx> y = fresh.solve(rhs);
         for (std::size_t i = 0; i < x.size(); ++i)
             EXPECT_LT(std::abs(x[i] - y[i]), 1e-9 * std::max(std::abs(y[i]), real{1e-12}))
                 << "f=" << f;
     }
-}
-
-TEST(sparse_refactor, requires_preparation)
-{
-    spice::circuit c;
-    circuits::build_rc_ladder(c, 4);
-    const spice::dc_result op = spice::dc_operating_point(c);
-    const engine::linearized_snapshot snap(c, op.solution, {});
-    numeric::csc_matrix<cplx> work = snap.make_workspace();
-    snap.assemble(to_omega(1e5), work);
-    numeric::sparse_lu<cplx> lu(work); // default options: no refactor prep
-    EXPECT_THROW(lu.refactor(work), numeric_error);
 }
 
 // --- thread pool -----------------------------------------------------------

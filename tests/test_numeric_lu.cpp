@@ -1,13 +1,16 @@
 // Dense and sparse LU: round-trips, pivoting, determinants, failure modes.
+// The sparse cases run the one-shot idiom of spice::solve_system: a
+// symbolic_lu that exports its seed values, adopted by a numeric_lu.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <memory>
 #include <random>
 
 #include "common/error.h"
 #include "common/types.h"
 #include "numeric/lu.h"
-#include "numeric/sparse_lu.h"
+#include "numeric/sparse_factor.h"
 #include "numeric/sparse_matrix.h"
 
 namespace {
@@ -18,8 +21,20 @@ using acstab::numeric_error;
 using acstab::numeric::csc_matrix;
 using acstab::numeric::dense_matrix;
 using acstab::numeric::lu_decomposition;
-using acstab::numeric::sparse_lu;
+using acstab::numeric::lu_options;
+using acstab::numeric::numeric_lu;
+using acstab::numeric::symbolic_lu;
 using acstab::numeric::triplet_matrix;
+
+/// Factor once (seed values adopted, no second elimination) and solve.
+template <class T>
+std::vector<T> sparse_solve(const csc_matrix<T>& a, const std::vector<T>& b)
+{
+    typename symbolic_lu<T>::factor_values seed;
+    auto sym = std::make_shared<const symbolic_lu<T>>(a, lu_options{}, &seed);
+    numeric_lu<T> lu(std::move(sym), std::move(seed));
+    return lu.solve(b);
+}
 
 TEST(dense_lu, solves_small_system)
 {
@@ -138,7 +153,7 @@ TEST(sparse_lu, matches_dense_on_random_sparse)
     std::vector<real> b(n);
     for (auto& v : b)
         v = dist(rng);
-    const std::vector<real> xs = sparse_lu<real>(csc_matrix<real>(t)).solve(b);
+    const std::vector<real> xs = sparse_solve(csc_matrix<real>(t), b);
     const std::vector<real> xd = lu_decomposition<real>(d).solve(b);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(xs[i], xd[i], 1e-9);
@@ -160,7 +175,7 @@ TEST(sparse_lu, complex_tridiagonal)
         x_true[i] = cplx{static_cast<real>(i) * 0.1, -0.2};
     const csc_matrix<cplx> a(t);
     const std::vector<cplx> b = a.multiply(x_true);
-    const std::vector<cplx> x = sparse_lu<cplx>(a).solve(b);
+    const std::vector<cplx> x = sparse_solve(a, b);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_LT(std::abs(x[i] - x_true[i]), 1e-9);
 }
@@ -175,7 +190,7 @@ TEST(sparse_lu, permuted_identity)
     std::vector<real> b(n);
     for (std::size_t i = 0; i < n; ++i)
         b[i] = static_cast<real>(i + 1);
-    const std::vector<real> x = sparse_lu<real>(csc_matrix<real>(t)).solve(b);
+    const std::vector<real> x = sparse_solve(csc_matrix<real>(t), b);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(x[(i + 2) % n], b[i], 1e-12);
 }
@@ -186,7 +201,7 @@ TEST(sparse_lu, detects_singular)
     t.add(0, 0, 1.0);
     t.add(1, 1, 1.0);
     // Column 2 is structurally empty.
-    EXPECT_THROW(sparse_lu<real>{csc_matrix<real>(t)}, numeric_error);
+    EXPECT_THROW(symbolic_lu<real>{csc_matrix<real>(t)}, numeric_error);
 }
 
 TEST(sparse_lu, duplicate_entries_are_summed)
@@ -195,7 +210,7 @@ TEST(sparse_lu, duplicate_entries_are_summed)
     t.add(0, 0, 1.0);
     t.add(0, 0, 1.0);
     t.add(1, 1, 3.0);
-    const std::vector<real> x = sparse_lu<real>(csc_matrix<real>(t)).solve(std::vector<real>{4.0, 9.0});
+    const std::vector<real> x = sparse_solve(csc_matrix<real>(t), std::vector<real>{4.0, 9.0});
     EXPECT_NEAR(x[0], 2.0, 1e-12);
     EXPECT_NEAR(x[1], 3.0, 1e-12);
 }

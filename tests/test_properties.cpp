@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <random>
 
 #include "circuits/rlc.h"
@@ -10,7 +11,7 @@
 #include "core/analyzer.h"
 #include "numeric/eig.h"
 #include "numeric/lu.h"
-#include "numeric/sparse_lu.h"
+#include "numeric/sparse_factor.h"
 #include "spice/ac_analysis.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
@@ -59,10 +60,9 @@ TEST(property, reciprocity_of_transfer_impedance)
             p.omega = to_omega(1e6);
             for (const auto& d : c.devices())
                 d->stamp_ac(op.solution, p, b);
-            std::vector<cplx> rhs(unknowns, cplx{});
-            rhs[static_cast<std::size_t>(from)] = cplx{1.0, 0.0};
-            factored_system<cplx> fact(b, solver_kind::sparse);
-            return fact.solve(rhs)[static_cast<std::size_t>(to)];
+            b.rhs().assign(unknowns, cplx{});
+            b.rhs()[static_cast<std::size_t>(from)] = cplx{1.0, 0.0};
+            return solve_system(b, solver_kind::sparse)[static_cast<std::size_t>(to)];
         };
         const cplx zab = transfer(nodes[0], nodes[4]);
         const cplx zba = transfer(nodes[4], nodes[0]);
@@ -150,7 +150,9 @@ TEST_P(sparse_sizes, tridiagonal_round_trip)
         x_true[i] = std::sin(static_cast<real>(i));
     const numeric::csc_matrix<real> a(t);
     const std::vector<real> b = a.multiply(x_true);
-    const std::vector<real> x = numeric::sparse_lu<real>(a).solve(b);
+    numeric::symbolic_lu<real>::factor_values seed;
+    auto sym = std::make_shared<const numeric::symbolic_lu<real>>(a, numeric::lu_options{}, &seed);
+    const std::vector<real> x = numeric::numeric_lu<real>(std::move(sym), std::move(seed)).solve(b);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(x[i], x_true[i], 1e-8) << "n=" << n << " i=" << i;
 }

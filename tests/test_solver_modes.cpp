@@ -97,11 +97,9 @@ TEST(solver_modes, ordering_and_kernel_equivalence_on_shipped_netlists)
     const mode modes[] = {
         {"amd-approx", numeric::column_ordering::amd_approx, true, true},
         {"amd-approx-scalar", numeric::column_ordering::amd_approx, false, true},
-        {"amd-approx-column", numeric::column_ordering::amd_approx, true, false},
         {"amd-approx-column-scalar", numeric::column_ordering::amd_approx, false, false},
         {"none", numeric::column_ordering::none, true, true},
         {"none-scalar", numeric::column_ordering::none, false, true},
-        {"none-column", numeric::column_ordering::none, true, false},
         {"none-column-scalar", numeric::column_ordering::none, false, false},
     };
 

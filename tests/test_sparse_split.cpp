@@ -18,7 +18,6 @@
 #include "engine/sweep_engine.h"
 #include "numeric/interpolation.h"
 #include "numeric/sparse_factor.h"
-#include "numeric/sparse_lu.h"
 #include "spice/dc_analysis.h"
 
 namespace {
@@ -225,32 +224,6 @@ TEST(sparse_split, zero_pivot_fallback_with_shared_symbolic)
     numeric::numeric_lu<cplx> other(shared);
     other.refactor(a1);
     EXPECT_EQ(other.solve({cplx{3.0, 0.0}, cplx{2.0, 0.0}}), x1);
-}
-
-TEST(sparse_split, sparse_lu_facade_exposes_shared_symbolic)
-{
-    spice::circuit c;
-    circuits::build_rc_ladder(c, 8);
-    const spice::dc_result op = spice::dc_operating_point(c);
-    const engine::linearized_snapshot snap(c, op.solution, {});
-    numeric::csc_matrix<cplx> work = snap.make_workspace();
-    snap.assemble(to_omega(1e5), work);
-
-    numeric::sparse_lu<cplx>::options lopt;
-    lopt.prepare_refactor = true;
-    const numeric::sparse_lu<cplx> facade(work, lopt);
-
-    // A worker bound to the facade's symbolic half reproduces its solves
-    // (to rounding: the facade adopts the seed values from the analysis,
-    // whose elimination order differs from refactor's by design).
-    numeric::numeric_lu<cplx> worker(facade.symbolic());
-    worker.refactor(work);
-    std::vector<cplx> rhs(snap.size(), cplx{});
-    rhs[2] = cplx{1.0, 0.0};
-    const std::vector<cplx> a = worker.solve(rhs);
-    const std::vector<cplx> b = facade.solve(rhs);
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_LT(std::abs(a[i] - b[i]), 1e-12 * std::max(std::abs(b[i]), real{1e-12})) << i;
 }
 
 TEST(sparse_split, snapshot_caches_shared_symbolic)

@@ -214,7 +214,6 @@ void expect_blocked_matches_column(spice::circuit& c, numeric::column_ordering o
     const auto sym = std::make_shared<const numeric::symbolic_lu<cplx>>(work, sopt);
 
     numeric::numeric_lu<cplx> col(sym);
-    col.set_batch_kernel(numeric::batch_kernel::simd);
     numeric::numeric_lu<cplx> blk(sym);
     blk.set_batch_kernel(numeric::batch_kernel::simd);
     blk.set_supernodal(true);

@@ -101,12 +101,14 @@ std::pair<int, std::string> run_tool(const std::string& args)
 TEST(acstab_cli, removed_solver_flags_exit_nonzero)
 {
     const std::string netlist = std::string(ACSTAB_NETLIST_DIR) + "/rlc_tank.sp";
-    for (const char* flags :
-         {"--warm", "--order amd", "--no-simd", "--no-supernodal", "--warm-pipeline"}) {
-        const auto [status, err]
-            = run_tool("stability " + netlist + " --node tank " + flags);
-        EXPECT_NE(status, 0) << flags;
-        EXPECT_NE(err.find("unknown option"), std::string::npos) << flags << ": " << err;
+    const std::string stability = "stability " + netlist + " --node tank ";
+    const std::string tran = "tran " + netlist + " --node tank --tstop 1u ";
+    for (const std::string& args :
+         {stability + "--warm", stability + "--order amd", stability + "--no-simd",
+          stability + "--no-supernodal", stability + "--warm-pipeline", tran + "--oneshot"}) {
+        const auto [status, err] = run_tool(args);
+        EXPECT_NE(status, 0) << args;
+        EXPECT_NE(err.find("unknown option"), std::string::npos) << args << ": " << err;
     }
 }
 
