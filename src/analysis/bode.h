@@ -27,12 +27,11 @@ struct bode_options {
     real gshunt = 0.0;
     /// Worker threads for the sweep (1 = serial, 0 = all hardware threads).
     std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): the passed grid
-    /// defines band and output density; only model-flagged frequencies
-    /// are factored, the rest are evaluated from the rational model.
+    /// Adaptive frequency grid (engine/frequency_sweep): the output holds
+    /// every point of the passed grid plus the solved extras; only
+    /// model-flagged frequencies are factored, the rest are evaluated
+    /// from the rational model.
     bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
     spice::dc_options dc;
 };
 

@@ -6,9 +6,8 @@
 #include <unordered_set>
 
 #include "common/error.h"
-#include "engine/adaptive_sweep.h"
+#include "engine/frequency_sweep.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
 #include "numeric/aaa.h"
 #include "numeric/interpolation.h"
 
@@ -179,67 +178,44 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
     // side's driving-point impedance.
     const std::vector<engine::sweep_engine::injection> injections{{port, cplx{1.0, 0.0}}};
 
-    if (opt.adaptive) {
-        engine::adaptive_sweep_options aopt;
-        aopt.fstart = opt.fstart;
-        aopt.fstop = opt.fstop;
-        aopt.output_points_per_decade = opt.points_per_decade;
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.fit_tol = opt.fit_tol;
-        aopt.engine.threads = opt.threads;
-        const engine::adaptive_sweep sweep(aopt);
-        const engine::adaptive_sweep_result rs
-            = sweep.run_injections(snap_s, injections, {{0, port}});
-        const engine::adaptive_sweep_result rl
-            = sweep.run_injections(snap_l, injections, {{0, port}});
-        res.factorizations = rs.factorizations + rl.factorizations;
+    engine::sweep_policy policy;
+    policy.adaptive = opt.adaptive;
+    policy.threads = opt.threads;
+    const std::vector<real> grid
+        = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
+    const engine::sweep_result rs
+        = engine::frequency_sweep(snap_s, grid, injections, {{0, port}}, policy);
+    const engine::sweep_result rl
+        = engine::frequency_sweep(snap_l, grid, injections, {{0, port}}, policy);
+    res.factorizations = rs.factorizations + rl.factorizations;
 
-        // The two sides refine independently, so their output grids agree
-        // on the dense log grid but differ at solved extras: evaluate both
-        // on the union, exact where a side solved, model elsewhere.
-        std::vector<real> merged;
-        merged.reserve(rs.freq_hz.size() + rl.freq_hz.size());
-        std::merge(rs.freq_hz.begin(), rs.freq_hz.end(), rl.freq_hz.begin(),
-                   rl.freq_hz.end(), std::back_inserter(merged));
-        res.freq_hz.reserve(merged.size());
-        for (const real f : merged)
-            if (res.freq_hz.empty() || !same_freq(res.freq_hz.back(), f))
-                res.freq_hz.push_back(f);
+    // On the adaptive path the two sides refine independently, so their
+    // output grids share the sweep grid but differ at solved extras:
+    // evaluate both on the union, exact where a side solved, model
+    // elsewhere. On the fixed path both are the sweep grid itself.
+    std::vector<real> merged;
+    merged.reserve(rs.freq_hz.size() + rl.freq_hz.size());
+    std::merge(rs.freq_hz.begin(), rs.freq_hz.end(), rl.freq_hz.begin(), rl.freq_hz.end(),
+               std::back_inserter(merged));
+    res.freq_hz.reserve(merged.size());
+    for (const real f : merged)
+        if (res.freq_hz.empty() || !same_freq(res.freq_hz.back(), f))
+            res.freq_hz.push_back(f);
 
-        const auto side_values = [&](const engine::adaptive_sweep_result& r) {
-            std::vector<cplx> out(res.freq_hz.size());
-            std::size_t i = 0;
-            for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
-                const real f = res.freq_hz[k];
-                while (i < r.freq_hz.size() && r.freq_hz[i] < f && !same_freq(r.freq_hz[i], f))
-                    ++i;
-                out[k] = i < r.freq_hz.size() && same_freq(r.freq_hz[i], f)
-                    ? r.values[0][i]
-                    : r.model.eval(0, f);
-            }
-            return out;
-        };
-        res.z_source = side_values(rs);
-        res.z_load = side_values(rl);
-    } else {
-        res.freq_hz = numeric::log_grid(opt.fstart, opt.fstop, opt.points_per_decade);
-        engine::sweep_engine_options eopt;
-        eopt.threads = opt.threads;
-        const engine::sweep_engine eng(eopt);
-        res.z_source.resize(res.freq_hz.size());
-        res.z_load.resize(res.freq_hz.size());
-        const auto sweep_side
-            = [&](const engine::linearized_snapshot& snap, std::vector<cplx>& out) {
-                  eng.run_injections(snap, res.freq_hz, injections,
-                                     [&out, port](std::size_t fi, std::size_t,
-                                                  std::span<const cplx> sol) {
-                                         out[fi] = sol[port];
-                                     });
-              };
-        sweep_side(snap_s, res.z_source);
-        sweep_side(snap_l, res.z_load);
-        res.factorizations = 2 * res.freq_hz.size();
-    }
+    const auto side_values = [&](const engine::sweep_result& r) {
+        std::vector<cplx> out(res.freq_hz.size());
+        std::size_t i = 0;
+        for (std::size_t k = 0; k < res.freq_hz.size(); ++k) {
+            const real f = res.freq_hz[k];
+            while (i < r.freq_hz.size() && r.freq_hz[i] < f && !same_freq(r.freq_hz[i], f))
+                ++i;
+            out[k] = i < r.freq_hz.size() && same_freq(r.freq_hz[i], f) ? r.values[0][i]
+                                                                        : r.model.eval(0, f);
+        }
+        return out;
+    };
+    res.z_source = side_values(rs);
+    res.z_load = side_values(rl);
 
     // Minor-loop gain and the Nyquist-like verdicts.
     const std::size_t nf = res.freq_hz.size();
@@ -296,7 +272,7 @@ impedance_result analyze_impedance(spice::circuit& c, const std::string& node,
         // take the fitted model's -1 level crossings — the zeros of
         // 1 + L_m, i.e. the natural frequencies of the interconnection.
         numeric::aaa_options fopt;
-        fopt.rel_tol = std::max(opt.fit_tol * 0.25, real{1e-13});
+        fopt.rel_tol = std::max(engine::adaptive_fit_tol * 0.25, real{1e-13});
         fopt.max_support = 48;
         const numeric::aaa_model ratio_model
             = numeric::aaa_fit(res.freq_hz, {res.minor_loop}, fopt);

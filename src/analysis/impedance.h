@@ -12,13 +12,14 @@
 //
 // Engine mapping: both sides are linearized ONCE about the full circuit's
 // operating point (a snapshot_options::device_filter keeps only one
-// side's stamps), and each side costs one batched unit-current RHS sweep
-// against its snapshot — the same machinery as the stability plot, two
-// more right-hand-side batches. The opt-in adaptive path reuses
-// engine::adaptive_sweep per side (same backward-error acceptance
-// contract) and AAA-fits the impedance ratio; the fitted model's -1 level
-// crossings are reported as a low-order estimate of the closed-loop
-// poles (Cooman et al.'s model-free view).
+// side's stamps), and each side costs one unit-current injection sweep
+// (engine::frequency_sweep) against its snapshot — the same machinery as
+// the stability plot. The two sides' output grids are merged into one;
+// on the fixed grid they are identical. With `adaptive`, each side
+// refines its own grid under the same backward-error acceptance
+// contract, and the impedance ratio is AAA-fitted; the fitted model's -1
+// level crossings are reported as a low-order estimate of the
+// closed-loop poles (Cooman et al.'s model-free view).
 #ifndef ACSTAB_ANALYSIS_IMPEDANCE_H
 #define ACSTAB_ANALYSIS_IMPEDANCE_H
 
@@ -40,11 +41,9 @@ struct impedance_options {
     std::size_t points_per_decade = 40;
     /// Worker threads for the two side sweeps (1 = serial, 0 = all cores).
     std::size_t threads = 1;
-    /// Adaptive frequency grid per side (engine/adaptive_sweep) plus an
+    /// Adaptive frequency grid per side (engine/frequency_sweep) plus an
     /// AAA fit of the impedance ratio with closed-loop pole estimates.
     bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
     real gmin = 1e-12;
     /// Node-to-ground regularization; also holds up the nodes a side
     /// snapshot loses to the excluded devices.

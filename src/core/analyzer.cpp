@@ -4,9 +4,8 @@
 #include <cmath>
 
 #include "core/second_order.h"
-#include "engine/adaptive_sweep.h"
+#include "engine/frequency_sweep.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
 
 namespace acstab::core {
 
@@ -25,27 +24,14 @@ namespace {
         return engine::linearized_snapshot(c, op, sopt);
     }
 
-    engine::sweep_engine make_engine(const stability_options& opt)
+    engine::sweep_policy sweep_policy(const stability_options& opt)
     {
-        engine::sweep_engine_options eopt;
-        eopt.threads = opt.threads;
-        eopt.solver = opt.solver;
-        eopt.tuning = opt.tuning;
-        return engine::sweep_engine(eopt);
-    }
-
-    engine::adaptive_sweep make_adaptive(const stability_options& opt)
-    {
-        engine::adaptive_sweep_options aopt;
-        aopt.fstart = opt.sweep.fstart;
-        aopt.fstop = opt.sweep.fstop;
-        aopt.output_points_per_decade = opt.sweep.points_per_decade;
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.fit_tol = opt.fit_tol;
-        aopt.engine.threads = opt.threads;
-        aopt.engine.solver = opt.solver;
-        aopt.engine.tuning = opt.tuning;
-        return engine::adaptive_sweep(aopt);
+        engine::sweep_policy policy;
+        policy.adaptive = opt.adaptive;
+        policy.threads = opt.threads;
+        policy.solver = opt.solver;
+        policy.tuning = opt.tuning;
+        return policy;
     }
 
 } // namespace
@@ -103,26 +89,14 @@ node_stability stability_analyzer::analyze_node(const std::string& node_name)
     const std::size_t k = static_cast<std::size_t>(*node);
     const std::vector<engine::sweep_engine::injection> injections{
         {k, cplx{opt_.stimulus_amps, 0.0}}};
+    const engine::sweep_result res = engine::frequency_sweep(
+        snap, opt_.sweep.frequencies(), injections, {{0, k}}, sweep_policy(opt_));
 
-    if (opt_.adaptive) {
-        const engine::adaptive_sweep_result res
-            = make_adaptive(opt_).run_injections(snap, injections, {{0, k}});
-        std::vector<real> magnitude(res.freq_hz.size());
-        for (std::size_t i = 0; i < magnitude.size(); ++i)
-            magnitude[i] = std::abs(res.values[0][i]) / opt_.stimulus_amps;
-        return make_node_result(node_name, res.freq_hz, std::move(magnitude));
-    }
-
-    const std::vector<real> freqs = opt_.sweep.frequencies();
-    std::vector<real> magnitude(freqs.size(), 0.0);
-    make_engine(opt_).run_injections(
-        snap, freqs, injections,
-        [&magnitude, k, this](std::size_t fi, std::size_t, std::span<const cplx> sol) {
-            // Normalize to impedance.
-            magnitude[fi] = std::abs(sol[k]) / opt_.stimulus_amps;
-        });
-
-    return make_node_result(node_name, freqs, std::move(magnitude));
+    // Normalize to impedance.
+    std::vector<real> magnitude(res.freq_hz.size());
+    for (std::size_t i = 0; i < magnitude.size(); ++i)
+        magnitude[i] = std::abs(res.values[0][i]) / opt_.stimulus_amps;
+    return make_node_result(node_name, res.freq_hz, std::move(magnitude));
 }
 
 stability_report stability_analyzer::analyze_all_nodes()
@@ -159,13 +133,13 @@ stability_report stability_analyzer::analyze_all_nodes()
         // refinement check needs full solution vectors. It refines on the
         // worst node so a single solved grid serves every right-hand side.
         std::vector<engine::sweep_engine::injection> injections;
-        std::vector<engine::adaptive_channel> channels;
+        std::vector<engine::sweep_channel> channels;
         for (const std::size_t k : unknowns) {
             channels.push_back({injections.size(), k});
             injections.push_back({k, cplx{1.0, 0.0}});
         }
-        const engine::adaptive_sweep_result res
-            = make_adaptive(opt_).run_injections(snap, injections, channels);
+        const engine::sweep_result res
+            = engine::frequency_sweep(snap, freqs, injections, channels, sweep_policy(opt_));
         grid = res.freq_hz;
         factorizations = res.factorizations;
         for (std::size_t ri = 0; ri < unknowns.size(); ++ri) {
@@ -177,7 +151,7 @@ stability_report stability_analyzer::analyze_all_nodes()
     } else {
         for (std::size_t k = 0; k < node_count; ++k)
             magnitude[k].assign(nf, 0.0);
-        make_engine(opt_).run_inverse_diagonal(
+        engine::sweep_engine(sweep_policy(opt_).engine()).run_inverse_diagonal(
             snap, freqs, unknowns,
             [&magnitude, &unknowns](std::size_t fi, std::span<const cplx> diag) {
                 for (std::size_t i = 0; i < unknowns.size(); ++i)

@@ -43,16 +43,14 @@ struct stability_options {
     /// Worker threads for the frequency sweeps (1 = serial, 0 = all
     /// hardware threads).
     std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): solve a coarse
+    /// Adaptive frequency grid (engine/frequency_sweep): solve a coarse
     /// anchor grid, fit a barycentric rational model, factor-and-solve
     /// only where the model fails a backward-error check, and evaluate
-    /// the dense output grid from the model. Margins stay within
-    /// tolerance of the dense sweep at a fraction of the factorizations.
+    /// the sweep grid from the model. Margins stay within tolerance of the
+    /// dense sweep. Factorizations drop where a low-order model fits
+    /// (about 10x on the shipped netlists) but can exceed the fixed grid's
+    /// on large meshes (426 against 301 on a generated 2k-node RC mesh).
     bool adaptive = false;
-    /// Relative backward-error tolerance of the adaptive model.
-    real fit_tol = 1e-6;
-    /// Anchor density of the adaptive sweep's always-solved coarse grid.
-    std::size_t anchors_per_decade = 4;
     /// Skip nodes held by ideal voltage sources (their impedance is 0).
     bool skip_forced_nodes = true;
     /// Relative natural-frequency tolerance when grouping nodes into loops.
@@ -90,7 +88,8 @@ struct stability_report {
     std::vector<loop_group> loops;
     std::vector<std::string> skipped_nodes; ///< source-forced, not analyzed
     /// LU factorizations the sweep performed (the fixed grid factors one
-    /// per grid point; the adaptive path usually far fewer).
+    /// per grid point; the adaptive path one per solved frequency, fewer
+    /// where a low-order model fits, possibly more on large meshes).
     std::size_t factorizations = 0;
 };
 

@@ -16,7 +16,7 @@ std::vector<real> sweep_spec::frequencies() const
     if (points_per_decade < 4)
         throw analysis_error("sweep: need at least 4 points per decade");
     // The canonical grid shared with the CLI and the adaptive driver's
-    // anchor/output grids (numeric/interpolation.h).
+    // anchor grid (numeric/interpolation.h).
     return numeric::log_grid(fstart, fstop, points_per_decade, 8);
 }
 

@@ -1,15 +1,25 @@
-#include "engine/adaptive_sweep.h"
+#include "engine/frequency_sweep.h"
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
+#include <span>
+#include <variant>
 
 #include "common/error.h"
 #include "numeric/aaa.h"
 #include "numeric/interpolation.h"
 
 namespace acstab::engine {
+
+sweep_engine_options sweep_policy::engine() const
+{
+    sweep_engine_options eopt;
+    eopt.threads = threads;
+    eopt.solver = solver;
+    eopt.tuning = tuning;
+    return eopt;
+}
 
 namespace {
 
@@ -37,70 +47,76 @@ namespace {
         return std::fabs(a - b) <= same_freq_rtol * std::max(std::fabs(a), std::fabs(b));
     }
 
-} // namespace
-
-adaptive_sweep::adaptive_sweep(adaptive_sweep_options opt) : opt_(std::move(opt)) {}
-
-adaptive_sweep_options adaptive_options_for_grid(const std::vector<real>& freqs_hz)
-{
-    if (freqs_hz.size() < 2)
-        throw analysis_error("adaptive sweep: need a grid of >= 2 points");
-    if (!(freqs_hz.front() > 0.0))
-        throw analysis_error("adaptive sweep: frequencies must be positive");
-    for (std::size_t i = 1; i < freqs_hz.size(); ++i)
-        if (!(freqs_hz[i] > freqs_hz[i - 1]))
-            throw analysis_error("adaptive sweep: frequency grid must be ascending");
-
-    adaptive_sweep_options opt;
-    opt.fstart = freqs_hz.front();
-    opt.fstop = freqs_hz.back();
-    const real decades = std::log10(opt.fstop / opt.fstart);
-    opt.output_points_per_decade = std::max<std::size_t>(
-        4, static_cast<std::size_t>(
-               std::ceil(static_cast<real>(freqs_hz.size() - 1) / decades)));
-    return opt;
-}
-
-namespace {
-
     struct flagged_candidate {
         real f = 0.0;
         real err = 0.0;
     };
 
-    adaptive_sweep_result run_adaptive(const linearized_snapshot& snap,
-                                       const adaptive_sweep_options& opt, std::size_t nrhs,
-                                       const std::vector<adaptive_channel>& channels,
-                                       const std::vector<std::vector<cplx>>& bvecs,
-                                       const std::function<void(const std::vector<real>&,
-                                                                std::vector<solved_sample>&)>&
-                                           solve_batch)
+    /// Solve every right-hand side at every frequency of `freqs` through
+    /// the engine's injection or dense-vector path.
+    void solve_rhs(const sweep_engine& eng, const linearized_snapshot& snap,
+                   const std::vector<real>& freqs, const sweep_rhs& rhs,
+                   const sweep_engine::sink& out)
+    {
+        if (const auto* injections = std::get_if<0>(&rhs))
+            eng.run_injections(snap, freqs, *injections, out);
+        else
+            eng.run(snap, freqs, std::get<1>(rhs), out);
+    }
+
+    /// Every grid point factored and solved; only the channels are kept.
+    sweep_result fixed_sweep(const linearized_snapshot& snap, const std::vector<real>& grid,
+                             const sweep_rhs& rhs, std::size_t nrhs,
+                             const std::vector<sweep_channel>& channels,
+                             const sweep_engine& eng)
+    {
+        sweep_result res;
+        res.freq_hz = grid;
+        res.solved_freq_hz = grid;
+        res.factorizations = grid.size();
+        res.values.assign(channels.size(), std::vector<cplx>(grid.size()));
+        std::vector<std::vector<std::size_t>> by_rhs(nrhs);
+        for (std::size_t c = 0; c < channels.size(); ++c)
+            by_rhs[channels[c].rhs].push_back(c);
+        solve_rhs(eng, snap, grid, rhs,
+                  [&res, &by_rhs, &channels](std::size_t fi, std::size_t ri,
+                                             std::span<const cplx> sol) {
+                      for (const std::size_t c : by_rhs[ri])
+                          res.values[c][fi] = sol[channels[c].unknown];
+                  });
+        return res;
+    }
+
+    sweep_result adaptive_sweep(const linearized_snapshot& snap, const std::vector<real>& grid,
+                                const sweep_rhs& rhs, std::size_t nrhs,
+                                const std::vector<sweep_channel>& channels,
+                                const sweep_engine& eng)
     {
         const std::size_t n = snap.size();
-        if (nrhs == 0)
-            throw analysis_error("adaptive sweep: need at least one right-hand side");
-        if (channels.empty())
-            throw analysis_error("adaptive sweep: need at least one channel");
-        for (const adaptive_channel& ch : channels)
-            if (ch.rhs >= nrhs || ch.unknown >= n)
-                throw analysis_error("adaptive sweep: channel index out of range");
-        if (!(opt.fit_tol > 0.0))
-            throw analysis_error("adaptive sweep: fit_tol must be positive");
-        if (opt.anchors_per_decade == 0 || opt.output_points_per_decade == 0)
-            throw analysis_error("adaptive sweep: need at least 1 point per decade");
+        // Dense copies of injected right-hand sides for the residual check.
+        std::vector<std::vector<cplx>> injected;
+        if (const auto* injections = std::get_if<0>(&rhs)) {
+            injected.assign(nrhs, std::vector<cplx>(n, cplx{}));
+            for (std::size_t r = 0; r < nrhs; ++r) {
+                if ((*injections)[r].index >= n)
+                    throw analysis_error("adaptive sweep: injection index out of range");
+                injected[r][(*injections)[r].index] = (*injections)[r].value;
+            }
+        }
+        const std::vector<std::vector<cplx>>& bvecs
+            = injected.empty() ? std::get<1>(rhs) : injected;
 
-        const std::vector<real> dense
-            = numeric::log_grid(opt.fstart, opt.fstop, opt.output_points_per_decade, 8);
-        // Cap on solved frequencies during refinement: the fixed output
-        // grid's size. It caps refinement only; the output validation
-        // below solves its failures after it, so a run can factor more
-        // points than the fixed grid it replaces.
-        const std::size_t budget = dense.size();
+        // Cap on solved frequencies during refinement: the output grid's
+        // size. It caps refinement only; the output validation below
+        // solves its failures after it, so a run can factor more points
+        // than the fixed grid it replaces.
+        const std::size_t budget = grid.size();
         // Refinement stops bisecting an interval once it is narrower
         // than a quarter of an output-grid step (in decades).
-        const real min_gap = 0.25 / static_cast<real>(opt.output_points_per_decade);
+        const real min_gap = 0.25 * std::log10(grid.back() / grid.front())
+            / static_cast<real>(grid.size() - 1);
 
-        adaptive_sweep_result res;
+        sweep_result res;
         std::vector<solved_sample> samples;
 
         const auto solve = [&](std::vector<real> freqs) {
@@ -120,7 +136,11 @@ namespace {
                 fresh[i].f = fresh_f[i];
                 fresh[i].x.resize(nrhs * n);
             }
-            solve_batch(fresh_f, fresh);
+            solve_rhs(eng, snap, fresh_f, rhs,
+                      [&fresh, n](std::size_t fi, std::size_t ri, std::span<const cplx> sol) {
+                          std::copy(sol.begin(), sol.end(),
+                                    fresh[fi].x.begin() + static_cast<std::ptrdiff_t>(ri * n));
+                      });
             res.factorizations += fresh.size();
             for (solved_sample& s : fresh)
                 samples.push_back(std::move(s));
@@ -128,19 +148,19 @@ namespace {
                       [](const solved_sample& a, const solved_sample& b) { return a.f < b.f; });
         };
 
-        solve(numeric::log_grid(opt.fstart, opt.fstop, opt.anchors_per_decade, 8));
+        solve(numeric::log_grid(grid.front(), grid.back(), adaptive_anchors_per_decade, 8));
 
         // Fit the shared-support rational model to the observable channels
-        // at every solved frequency. The fit runs tighter than fit_tol so
-        // model error never dominates the residual-check budget. From the
-        // second round on, the refit is warm-started from the previous
-        // round's support set: those frequencies are solved samples that
-        // persist across rounds, so re-deriving each one greedily (one
-        // weight eigen-solve per support point) is pure overhead — the
-        // dominant refit cost on small circuits. The warm refit pays one
-        // eigen-solve for the seed batch plus one per NEW support point,
-        // and the backward-error validation below is unchanged, so the
-        // accuracy contract is unaffected.
+        // at every solved frequency. The fit runs tighter than
+        // adaptive_fit_tol so model error never dominates the residual-check
+        // budget. From the second round on, the refit is warm-started from
+        // the previous round's support set: those frequencies are solved
+        // samples that persist across rounds, so re-deriving each one
+        // greedily (one weight eigen-solve per support point) is pure
+        // overhead — the dominant refit cost on small circuits. The warm
+        // refit pays one eigen-solve for the seed batch plus one per NEW
+        // support point, and the backward-error validation below is
+        // unchanged, so the accuracy contract is unaffected.
         const auto fit = [&](const numeric::aaa_model* prev) {
             std::vector<real> xs(samples.size());
             std::vector<std::vector<cplx>> data(channels.size(),
@@ -151,7 +171,7 @@ namespace {
                     data[c][i] = samples[i].x[channels[c].rhs * n + channels[c].unknown];
             }
             numeric::aaa_options aopt;
-            aopt.rel_tol = std::max(opt.fit_tol * 0.25, real{1e-13});
+            aopt.rel_tol = std::max(adaptive_fit_tol * 0.25, real{1e-13});
             aopt.max_support = std::min(max_model_order, samples.size() - 1);
             if (prev != nullptr) {
                 for (const real fx : prev->support()) {
@@ -189,7 +209,7 @@ namespace {
                 ymax = std::max(ymax, std::abs(v));
             real worst = 0.0;
             const std::vector<std::size_t>& sidx = model.support_samples();
-            for (std::size_t r = 0; r < nrhs && worst <= opt.fit_tol; ++r) {
+            for (std::size_t r = 0; r < nrhs && worst <= adaptive_fit_tol; ++r) {
                 std::fill(xhat.begin(), xhat.end(), cplx{});
                 for (std::size_t j = 0; j < sidx.size(); ++j) {
                     const cplx* col = samples[sidx[j]].x.data() + r * n;
@@ -235,7 +255,7 @@ namespace {
             // just burn the budget, so hand over to the output validation
             // pass below, which solves exactly the points that need it.
             if (model.support_count() >= max_model_order
-                && model.fit_error() > 1e3 * opt.fit_tol) {
+                && model.fit_error() > 1e3 * adaptive_fit_tol) {
                 if (++saturated_rounds >= 2) {
                     res.converged = false;
                     break;
@@ -254,7 +274,7 @@ namespace {
                 if (bc.exact_hit)
                     continue;
                 const real worst = prediction_error(fmid, model, bc);
-                if (worst > opt.fit_tol)
+                if (worst > adaptive_fit_tol)
                     flagged.push_back({fmid, worst});
             }
 
@@ -282,11 +302,9 @@ namespace {
             solve(std::move(to_solve));
         }
 
-        res.model_order = model.support_count();
-        res.model_fit_error = model.fit_error();
         res.model = model;
 
-        // Output grid: every solved frequency plus the dense grid points
+        // Output grid: every solved frequency plus the caller's grid points
         // that do not (nearly) coincide with one. Solved points carry the
         // exact solver values; the rest are evaluated from the model.
         constexpr std::size_t from_model = std::numeric_limits<std::size_t>::max();
@@ -299,16 +317,16 @@ namespace {
                 const real next_solved = si < samples.size()
                     ? samples[si].f
                     : std::numeric_limits<real>::infinity();
-                for (; di < dense.size() && dense[di] < next_solved; ++di) {
-                    if (si < samples.size() && same_freq(dense[di], next_solved))
+                for (; di < grid.size() && grid[di] < next_solved; ++di) {
+                    if (si < samples.size() && same_freq(grid[di], next_solved))
                         break;
-                    if (!res.freq_hz.empty() && same_freq(res.freq_hz.back(), dense[di]))
+                    if (!res.freq_hz.empty() && same_freq(res.freq_hz.back(), grid[di]))
                         continue;
-                    res.freq_hz.push_back(dense[di]);
+                    res.freq_hz.push_back(grid[di]);
                     origin.push_back(from_model);
                 }
                 if (si < samples.size()) {
-                    while (di < dense.size() && same_freq(dense[di], next_solved))
+                    while (di < grid.size() && same_freq(grid[di], next_solved))
                         ++di;
                     res.freq_hz.push_back(samples[si].f);
                     origin.push_back(si);
@@ -352,7 +370,7 @@ namespace {
             if (bc.exact_hit)
                 continue;
             if (!res.converged || bc.denom_health < health_floor)
-                if (prediction_error(res.freq_hz[k], model, bc) > opt.fit_tol)
+                if (prediction_error(res.freq_hz[k], model, bc) > adaptive_fit_tol)
                     failed.push_back(res.freq_hz[k]);
         }
         if (!failed.empty()) {
@@ -368,59 +386,32 @@ namespace {
 
 } // namespace
 
-adaptive_sweep_result
-adaptive_sweep::run_injections(const linearized_snapshot& snap,
-                               const std::vector<sweep_engine::injection>& injections,
-                               const std::vector<adaptive_channel>& channels) const
+sweep_result frequency_sweep(const linearized_snapshot& snap, const std::vector<real>& grid_hz,
+                             const sweep_rhs& rhs, const std::vector<sweep_channel>& channels,
+                             const sweep_policy& policy)
 {
-    for (const sweep_engine::injection& inj : injections)
-        if (inj.index >= snap.size())
-            throw analysis_error("adaptive sweep: injection index out of range");
+    // The sweep engine validates the grid and the right-hand sides; the
+    // channels index into its solutions.
+    const std::size_t nrhs = std::visit([](const auto& b) { return b.size(); }, rhs);
+    if (channels.empty())
+        throw analysis_error("frequency sweep: need at least one channel");
+    for (const sweep_channel& ch : channels)
+        if (ch.rhs >= nrhs || ch.unknown >= snap.size())
+            throw analysis_error("frequency sweep: channel index out of range");
 
-    std::vector<std::vector<cplx>> bvecs(injections.size(),
-                                         std::vector<cplx>(snap.size(), cplx{}));
-    for (std::size_t r = 0; r < injections.size(); ++r)
-        bvecs[r][injections[r].index] = injections[r].value;
+    if (!policy.adaptive)
+        return fixed_sweep(snap, grid_hz, rhs, nrhs, channels, sweep_engine(policy.engine()));
 
-    sweep_engine_options eopt = opt_.engine;
-    eopt.symbolic_omega_ref = to_omega(std::sqrt(opt_.fstart * opt_.fstop));
-    const sweep_engine eng(eopt);
-    const std::size_t n = snap.size();
-    return run_adaptive(snap, opt_, injections.size(), channels, bvecs,
-                        [&](const std::vector<real>& freqs, std::vector<solved_sample>& out) {
-                            eng.run_injections(
-                                snap, freqs, injections,
-                                [&out, n](std::size_t fi, std::size_t ri,
-                                          std::span<const cplx> sol) {
-                                    std::copy(sol.begin(), sol.end(),
-                                              out[fi].x.begin()
-                                                  + static_cast<std::ptrdiff_t>(ri * n));
-                                });
-                        });
-}
-
-adaptive_sweep_result adaptive_sweep::run(const linearized_snapshot& snap,
-                                          const std::vector<std::vector<cplx>>& rhs_batch,
-                                          const std::vector<adaptive_channel>& channels) const
-{
-    for (const std::vector<cplx>& rhs : rhs_batch)
-        if (rhs.size() != snap.size())
-            throw analysis_error("adaptive sweep: right-hand side has wrong length");
-
-    sweep_engine_options eopt = opt_.engine;
-    eopt.symbolic_omega_ref = to_omega(std::sqrt(opt_.fstart * opt_.fstop));
-    const sweep_engine eng(eopt);
-    const std::size_t n = snap.size();
-    return run_adaptive(snap, opt_, rhs_batch.size(), channels, rhs_batch,
-                        [&](const std::vector<real>& freqs, std::vector<solved_sample>& out) {
-                            eng.run(snap, freqs, rhs_batch,
-                                    [&out, n](std::size_t fi, std::size_t ri,
-                                              std::span<const cplx> sol) {
-                                        std::copy(sol.begin(), sol.end(),
-                                                  out[fi].x.begin()
-                                                      + static_cast<std::ptrdiff_t>(ri * n));
-                                    });
-                        });
+    if (grid_hz.size() < 2 || !(grid_hz.front() > 0.0))
+        throw analysis_error("adaptive sweep: need a positive grid of >= 2 points");
+    for (std::size_t i = 1; i < grid_hz.size(); ++i)
+        if (!(grid_hz[i] > grid_hz[i - 1]))
+            throw analysis_error("adaptive sweep: frequency grid must be ascending");
+    // Pin the shared symbolic factorization to the band's midpoint so the
+    // many small refinement batches all hit the snapshot's cached object.
+    sweep_engine_options eopt = policy.engine();
+    eopt.symbolic_omega_ref = to_omega(std::sqrt(grid_hz.front() * grid_hz.back()));
+    return adaptive_sweep(snap, grid_hz, rhs, nrhs, channels, sweep_engine(eopt));
 }
 
 } // namespace acstab::engine

@@ -1,6 +1,7 @@
 #include "farm/campaign.h"
 
 #include "common/error.h"
+#include "engine/frequency_sweep.h"
 #include "farm/json_convert.h"
 
 namespace acstab::farm {
@@ -22,8 +23,6 @@ core::stability_options campaign_spec::stability_options(std::size_t threads) co
     opt.sweep.fstop = fstop;
     opt.sweep.points_per_decade = points_per_decade;
     opt.adaptive = adaptive;
-    opt.fit_tol = fit_tol;
-    opt.anchors_per_decade = anchors_per_decade;
     opt.threads = threads;
     return opt;
 }
@@ -35,8 +34,6 @@ analysis::impedance_options campaign_spec::impedance_options(std::size_t threads
     opt.fstop = fstop;
     opt.points_per_decade = points_per_decade;
     opt.adaptive = adaptive;
-    opt.fit_tol = fit_tol;
-    opt.anchors_per_decade = anchors_per_decade;
     opt.source_elements = source_elements;
     opt.threads = threads;
     return opt;
@@ -104,8 +101,8 @@ json_value to_json(const campaign_spec& spec)
     sweep.set("fstop", json_value::number(spec.fstop));
     sweep.set("points_per_decade", json_value::number(spec.points_per_decade));
     sweep.set("adaptive", json_value::boolean(spec.adaptive));
-    sweep.set("fit_tol", json_value::number(spec.fit_tol));
-    sweep.set("anchors_per_decade", json_value::number(spec.anchors_per_decade));
+    sweep.set("fit_tol", json_value::number(engine::adaptive_fit_tol));
+    sweep.set("anchors_per_decade", json_value::number(engine::adaptive_anchors_per_decade));
     doc.set("sweep", std::move(sweep));
     return doc;
 }
@@ -155,16 +152,23 @@ campaign_spec campaign_from_json(const json_value& doc)
     spec.fstop = sweep.at("fstop").as_number();
     spec.points_per_decade = sweep.at("points_per_decade").as_index();
     spec.adaptive = sweep.at("adaptive").as_bool();
-    spec.fit_tol = sweep.at("fit_tol").as_number();
-    spec.anchors_per_decade = sweep.at("anchors_per_decade").as_index();
-    // A removed mode would change the last bits of a report that should
-    // be byte-identical to the one the plan was made for: refuse rather
-    // than silently run the default configuration.
+    // A removed mode, or a retired adaptive tuning value, would change the
+    // last bits of a report that should be byte-identical to the one the
+    // plan was made for: refuse rather than silently run the default
+    // configuration.
+    const auto refuse = [](const char* key) {
+        throw analysis_error(std::string("farm: plan sets the removed solver option 'sweep.")
+                             + key + "'; the solver now has one configuration, so "
+                             "re-run `acstab farm plan` to write a current plan");
+    };
     for (const char* key : removed_solver_keys)
         if (sweep.find(key) != nullptr)
-            throw analysis_error(std::string("farm: plan sets the removed solver option 'sweep.")
-                                 + key + "'; the solver now has one configuration, so "
-                                 "re-run `acstab farm plan` to write a current plan");
+            refuse(key);
+    if (sweep.at("fit_tol").as_number() != engine::adaptive_fit_tol)
+        refuse("fit_tol");
+    if (sweep.at("anchors_per_decade").as_number()
+        != static_cast<real>(engine::adaptive_anchors_per_decade))
+        refuse("anchors_per_decade");
 
     // The recorded point count guards against grid-decoding drift between
     // the planning and executing binaries.

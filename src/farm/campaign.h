@@ -57,8 +57,6 @@ struct campaign_spec {
     real fstop = 1e9;
     std::size_t points_per_decade = 40;
     bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
 
     /// The per-point analysis options this spec pins down. `threads` is
     /// the executor's machine-local point-level parallelism; it does not
@@ -75,10 +73,12 @@ struct campaign_spec {
 /// Spec <-> JSON (the plan file). Round trips exactly: numbers use the
 /// shortest round-trip form and map-valued fields serialize name-sorted.
 /// Plans carry no solver settings: every shard runs the engine's one
-/// configuration. campaign_from_json rejects a plan written by an older
-/// build that still names a removed solver mode (`order`, `simd`, `warm`,
-/// `supernodal` or `warm_pipeline` under `sweep`) instead of silently
-/// running it differently.
+/// configuration. `sweep.fit_tol` and `sweep.anchors_per_decade` are
+/// still written, from the adaptive sweep's constants, so plan bytes stay
+/// as older builds wrote them. campaign_from_json rejects a plan that
+/// still names a removed solver mode (`order`, `simd`, `warm`,
+/// `supernodal` or `warm_pipeline` under `sweep`) or sets either adaptive
+/// constant to another value, instead of silently running it differently.
 [[nodiscard]] json_value to_json(const campaign_spec& spec);
 [[nodiscard]] campaign_spec campaign_from_json(const json_value& doc);
 

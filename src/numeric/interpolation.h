@@ -105,7 +105,7 @@ struct parabolic_extremum {
 /// The canonical log-frequency sweep grid: `ppd` points per decade over
 /// [lo, hi], both endpoints included, never fewer than `min_points`.
 /// Shared by the fixed sweep (core::sweep_spec), the CLI grids and the
-/// adaptive driver's anchor/output grids so every path realizes the same
+/// adaptive driver's anchor grid so every path realizes the same
 /// frequencies for the same (lo, hi, ppd).
 [[nodiscard]] inline std::vector<real> log_grid(real lo, real hi, std::size_t ppd,
                                                 std::size_t min_points = 2)

@@ -2,9 +2,8 @@
 
 #include <cmath>
 
-#include "engine/adaptive_sweep.h"
+#include "engine/frequency_sweep.h"
 #include "engine/linearized_snapshot.h"
-#include "engine/sweep_engine.h"
 
 namespace acstab::spice {
 
@@ -28,11 +27,6 @@ ac_result ac_sweep(circuit& c, const std::vector<real>& freqs_hz, const std::vec
                    const ac_options& opt)
 {
     c.finalize();
-    if (freqs_hz.empty())
-        throw analysis_error("ac sweep: empty frequency list");
-    for (const real f : freqs_hz)
-        if (!(f > 0.0))
-            throw analysis_error("ac sweep: frequencies must be positive");
     if (op.size() != c.unknown_count())
         throw analysis_error("ac sweep: operating point has wrong size");
 
@@ -42,40 +36,24 @@ ac_result ac_sweep(circuit& c, const std::vector<real>& freqs_hz, const std::vec
     sopt.exclusive_source = opt.exclusive_source;
     const engine::linearized_snapshot snap(c, op, sopt);
 
+    // One channel per MNA unknown: the whole solution vector comes back
+    // on the output grid, on both the fixed and the adaptive path.
+    std::vector<engine::sweep_channel> channels(snap.size());
+    for (std::size_t k = 0; k < snap.size(); ++k)
+        channels[k] = {0, k};
+    engine::sweep_policy policy;
+    policy.adaptive = opt.adaptive;
+    policy.threads = opt.threads;
+    const engine::sweep_result sw = engine::frequency_sweep(
+        snap, freqs_hz, std::vector<std::vector<cplx>>{snap.stimulus_rhs()}, channels, policy);
+
     ac_result res;
-    if (opt.adaptive) {
-        // One adaptive channel per MNA unknown: the shared-support
-        // rational model then reconstructs the whole solution vector on
-        // the dense output grid, not just a pre-selected probe node.
-        engine::adaptive_sweep_options aopt = engine::adaptive_options_for_grid(freqs_hz);
-        aopt.anchors_per_decade = opt.anchors_per_decade;
-        aopt.fit_tol = opt.fit_tol;
-        aopt.engine.threads = opt.threads;
-        std::vector<engine::adaptive_channel> channels(snap.size());
-        for (std::size_t k = 0; k < snap.size(); ++k)
-            channels[k] = {0, k};
-        const engine::adaptive_sweep_result ares
-            = engine::adaptive_sweep(aopt).run(snap, {snap.stimulus_rhs()}, channels);
-        res.freq_hz = ares.freq_hz;
-        res.factorizations = ares.factorizations;
-        res.solution.assign(ares.freq_hz.size(), std::vector<cplx>(snap.size()));
-        for (std::size_t k = 0; k < snap.size(); ++k)
-            for (std::size_t fi = 0; fi < ares.freq_hz.size(); ++fi)
-                res.solution[fi][k] = ares.values[k][fi];
-        return res;
-    }
-
-    engine::sweep_engine_options eopt;
-    eopt.threads = opt.threads;
-    const engine::sweep_engine eng(eopt);
-
-    res.freq_hz = freqs_hz;
-    res.factorizations = freqs_hz.size();
-    res.solution.resize(freqs_hz.size());
-    eng.run(snap, freqs_hz, {snap.stimulus_rhs()},
-            [&res](std::size_t fi, std::size_t, std::span<const cplx> sol) {
-                res.solution[fi].assign(sol.begin(), sol.end());
-            });
+    res.freq_hz = sw.freq_hz;
+    res.factorizations = sw.factorizations;
+    res.solution.assign(sw.freq_hz.size(), std::vector<cplx>(snap.size()));
+    for (std::size_t k = 0; k < snap.size(); ++k)
+        for (std::size_t fi = 0; fi < sw.freq_hz.size(); ++fi)
+            res.solution[fi][k] = sw.values[k][fi];
     return res;
 }
 

@@ -26,14 +26,13 @@ struct ac_options {
     const device* exclusive_source = nullptr;
     /// Worker threads for the sweep (1 = serial, 0 = all hardware threads).
     std::size_t threads = 1;
-    /// Adaptive frequency grid (engine/adaptive_sweep): the passed grid
-    /// defines band and output density; one channel per MNA unknown is
-    /// fitted, so the FULL solution vector is available at every output
-    /// frequency (exact where solved, model-evaluated elsewhere) and
-    /// `.ac` cards in `acstab run` decks ride the adaptive path too.
+    /// Adaptive frequency grid (engine/frequency_sweep): the output holds
+    /// every point of the passed grid plus the solved extras; one channel
+    /// per MNA unknown is fitted, so the FULL solution vector is available
+    /// at every output frequency (exact where solved, model-evaluated
+    /// elsewhere) and `.ac` cards in `acstab run` decks ride the adaptive
+    /// path too.
     bool adaptive = false;
-    real fit_tol = 1e-6;
-    std::size_t anchors_per_decade = 4;
 };
 
 /// Complex response of every MNA unknown over a frequency sweep.
@@ -41,7 +40,7 @@ struct ac_result {
     std::vector<real> freq_hz;
     std::vector<std::vector<cplx>> solution; ///< [freq index][unknown index]
     /// LU factorizations behind the sweep (fixed grid: one per point;
-    /// adaptive: the usually much smaller solved-point count).
+    /// adaptive: the solved-point count).
     std::size_t factorizations = 0;
 
     [[nodiscard]] std::size_t point_count() const noexcept { return freq_hz.size(); }

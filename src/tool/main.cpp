@@ -30,7 +30,6 @@
 #include "analysis/loop_gain.h"
 #include "analysis/pole_zero.h"
 #include "core/analyzer.h"
-#include "engine/adaptive_sweep.h"
 #include "engine/linearized_snapshot.h"
 #include "core/ascii_plot.h"
 #include "core/param_grid.h"
@@ -73,15 +72,13 @@ int cmd_ac(spice::circuit& c, const cli_options& opt)
     if (opt.node.empty())
         throw analysis_error("ac: --node is required");
     const spice::dc_result op = spice::dc_operating_point(c);
-    // One shared path for both grids: ac_sweep's adaptive branch fits a
-    // per-unknown rational model over the whole solution vector, so the
-    // node is selected after the sweep — exactly like the fixed grid.
+    // ac_sweep returns the whole solution vector on both grids (the
+    // adaptive one fits a per-unknown rational model), so the node is
+    // selected after the sweep.
     const std::vector<real> grid = numeric::log_grid(opt.fstart, opt.fstop, opt.ppd);
     spice::ac_options aopt;
     aopt.threads = opt.threads;
     aopt.adaptive = opt.adaptive;
-    aopt.fit_tol = opt.fit_tol;
-    aopt.anchors_per_decade = opt.anchors_per_decade;
     const spice::ac_result res = spice::ac_sweep(c, grid, op.solution, aopt);
     const std::vector<real>& freqs = res.freq_hz;
     const std::vector<cplx> h = spice::node_response(c, res, opt.node);
@@ -141,8 +138,6 @@ int cmd_stability(spice::circuit& c, const cli_options& opt)
     sopt.sweep.points_per_decade = opt.ppd;
     sopt.threads = opt.threads;
     sopt.adaptive = opt.adaptive;
-    sopt.fit_tol = opt.fit_tol;
-    sopt.anchors_per_decade = opt.anchors_per_decade;
     core::stability_analyzer an(c, sopt);
 
     if (!opt.node.empty()) {
@@ -175,8 +170,6 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
     iopt.points_per_decade = opt.ppd;
     iopt.threads = opt.threads;
     iopt.adaptive = opt.adaptive;
-    iopt.fit_tol = opt.fit_tol;
-    iopt.anchors_per_decade = opt.anchors_per_decade;
     if (!opt.source.empty())
         iopt.source_elements = parse_name_list(opt.source);
     const analysis::impedance_result res = analysis::analyze_impedance(c, opt.node, iopt);
@@ -205,8 +198,6 @@ int cmd_impedance(spice::circuit& c, const cli_options& opt)
     sopt.sweep.points_per_decade = opt.ppd;
     sopt.threads = opt.threads;
     sopt.adaptive = opt.adaptive;
-    sopt.fit_tol = opt.fit_tol;
-    sopt.anchors_per_decade = opt.anchors_per_decade;
     core::stability_analyzer an(c, sopt);
     std::fputs(core::format_node_summary(an.analyze_node(opt.node)).c_str(), stdout);
 
@@ -250,8 +241,6 @@ int cmd_loopgain(spice::circuit& c, const cli_options& opt)
     analysis::loop_gain_options lopt;
     lopt.threads = opt.threads;
     lopt.adaptive = opt.adaptive;
-    lopt.fit_tol = opt.fit_tol;
-    lopt.anchors_per_decade = opt.anchors_per_decade;
     const analysis::loop_gain_result lg
         = analysis::measure_loop_gain(c, opt.probe, freqs, lopt);
     if (opt.csv) {
@@ -418,8 +407,6 @@ int cmd_farm_plan(const std::string& netlist_path, const cli_options& opt)
     farm::campaign_spec spec;
     spec.netlist = netlist_path;
     spec.adaptive = opt.adaptive;
-    spec.fit_tol = opt.fit_tol;
-    spec.anchors_per_decade = opt.anchors_per_decade;
     if (opt.analysis == "impedance")
         spec.analysis = farm::campaign_analysis::impedance;
     else if (opt.analysis == "transient")
@@ -811,9 +798,9 @@ void print_usage()
     std::puts("  --node NAME --all --probe NAME --source ELEM,.. --fstart HZ --fstop HZ");
     std::puts("  --ppd N");
     std::puts("  --tstop S --dt S --threads N (0 = all cores) --csv --annotate");
-    std::puts("  --adaptive (rational-fit adaptive grid: fewer factorizations where a");
-    std::puts("             low-order model fits; large meshes can take more)");
-    std::puts("  --fit-tol TOL --anchors-per-decade N (adaptive sweep tuning)");
+    std::puts("  --adaptive (rational-fit adaptive grid for every frequency sweep: fewer");
+    std::puts("             factorizations where a low-order model fits, large meshes");
+    std::puts("             can take more; output = the --ppd grid plus solved points)");
     std::puts("  --temps/--corner/--param (campaign grid) --shard k/N --out FILE --table");
 }
 

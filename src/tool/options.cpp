@@ -42,11 +42,6 @@ cli_options parse_cli_options(int argc, char** argv, bool allow_positionals)
             opt.threads = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
         else if (key == "--adaptive")
             opt.adaptive = true;
-        else if (key == "--fit-tol")
-            opt.fit_tol = spice::parse_spice_number(need_value(key));
-        else if (key == "--anchors-per-decade")
-            opt.anchors_per_decade
-                = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
         else if (key == "--size")
             opt.size = static_cast<std::size_t>(spice::parse_spice_number(need_value(key)));
         else if (key == "--solver-stats")

@@ -25,10 +25,6 @@ struct cli_options {
     /// Adaptive frequency grid: solve coarse anchors, fit a rational
     /// model, factor only where the model fails its residual check.
     bool adaptive = false;
-    /// Relative model tolerance of the adaptive sweep (--fit-tol).
-    real fit_tol = 1e-6;
-    /// Anchor density of the adaptive sweep (--anchors-per-decade).
-    std::size_t anchors_per_decade = 4;
     bool csv = false;
     bool annotate = false;
     bool all_nodes = false;

@@ -9,19 +9,25 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <memory>
+#include <span>
+#include <utility>
 #include <string>
 
+#include "analysis/bode.h"
 #include "analysis/loop_gain.h"
 #include "circuits/opamp.h"
 #include "circuits/rlc.h"
 #include "common/error.h"
 #include "core/analyzer.h"
 #include "core/second_order.h"
-#include "engine/adaptive_sweep.h"
+#include "engine/frequency_sweep.h"
 #include "engine/linearized_snapshot.h"
 #include "numeric/aaa.h"
 #include "numeric/interpolation.h"
+#include "spice/ac_analysis.h"
 #include "spice/dc_analysis.h"
+#include "spice/measure.h"
 #include "spice/parser/netlist_parser.h"
 
 #ifndef ACSTAB_NETLIST_DIR
@@ -194,29 +200,103 @@ TEST(adaptive_sweep, single_node_rlc_tank_matches_analytic_damping)
     EXPECT_NEAR(ns.dominant.freq_hz, 1e6, 2e4);
 }
 
+/// Margins of one consumer's response on a fixed grid and on the
+/// adaptive path, at 1 and 4 threads: the adaptive run factors at most a
+/// third of the points while the phase margin stays within 0.5 degrees
+/// and the crossover within 1% of the fixed grid's.
+template <class Measure>
+void expect_adaptive_margins_match_fixed(const Measure& measure)
+{
+    const auto [ref_margins, ref_factorizations] = measure(false, std::size_t{1});
+    ASSERT_TRUE(ref_margins.has_unity_crossing);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const auto [margins, factorizations] = measure(true, threads);
+        ASSERT_TRUE(margins.has_unity_crossing) << "threads=" << threads;
+        EXPECT_LE(3 * factorizations, ref_factorizations) << "threads=" << threads;
+        EXPECT_NEAR(margins.phase_margin_deg, ref_margins.phase_margin_deg, 0.5);
+        EXPECT_NEAR(margins.unity_freq_hz, ref_margins.unity_freq_hz,
+                    0.01 * ref_margins.unity_freq_hz);
+    }
+}
+
 TEST(adaptive_sweep, loop_gain_margins_match_fixed_grid)
 {
     spice::parsed_netlist net = spice::parse_netlist_file(netlist("two_pole_loop.sp"));
     const std::vector<real> freqs = numeric::log_grid(1e2, 1e8, 40);
-
-    analysis::loop_gain_options fixed;
-    const analysis::loop_gain_result ref
-        = analysis::measure_loop_gain(net.ckt, "vprobe", freqs, fixed);
-    ASSERT_TRUE(ref.margins.has_unity_crossing);
-    EXPECT_EQ(ref.factorizations, freqs.size());
-
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    expect_adaptive_margins_match_fixed([&](bool adaptive, std::size_t threads) {
         analysis::loop_gain_options opt;
-        opt.adaptive = true;
+        opt.adaptive = adaptive;
         opt.threads = threads;
         const analysis::loop_gain_result lg
             = analysis::measure_loop_gain(net.ckt, "vprobe", freqs, opt);
-        ASSERT_TRUE(lg.margins.has_unity_crossing) << "threads=" << threads;
-        EXPECT_LE(3 * lg.factorizations, ref.factorizations);
-        EXPECT_NEAR(lg.margins.phase_margin_deg, ref.margins.phase_margin_deg, 0.5);
-        EXPECT_NEAR(lg.margins.unity_freq_hz, ref.margins.unity_freq_hz,
-                    0.01 * ref.margins.unity_freq_hz);
-    }
+        if (!adaptive)
+            EXPECT_EQ(lg.factorizations, freqs.size());
+        return std::pair{lg.margins, lg.factorizations};
+    });
+}
+
+TEST(adaptive_sweep, bode_margins_match_fixed_grid)
+{
+    // Closed-loop response V(out)/V(in) of the two-pole loop: its
+    // resonant peak and 0 dB crossing are the sharp features the margin
+    // extraction must find on both grids.
+    spice::parsed_netlist net = spice::parse_netlist_file(netlist("two_pole_loop.sp"));
+    const std::vector<real> freqs = numeric::log_grid(1e2, 1e8, 40);
+    expect_adaptive_margins_match_fixed([&](bool adaptive, std::size_t threads) {
+        analysis::bode_options opt;
+        opt.adaptive = adaptive;
+        opt.threads = threads;
+        const analysis::frequency_response fr
+            = analysis::measure_response(net.ckt, "vin", "out", freqs, opt);
+        if (!adaptive)
+            EXPECT_EQ(fr.factorizations, freqs.size());
+        return std::pair{fr.margins, fr.factorizations};
+    });
+}
+
+TEST(adaptive_sweep, ac_sweep_margins_match_fixed_grid)
+{
+    spice::parsed_netlist net = spice::parse_netlist_file(netlist("two_pole_loop.sp"));
+    const std::vector<real> freqs = numeric::log_grid(1e2, 1e8, 40);
+    const spice::dc_result op = spice::dc_operating_point(net.ckt);
+    expect_adaptive_margins_match_fixed([&](bool adaptive, std::size_t threads) {
+        spice::ac_options opt;
+        opt.adaptive = adaptive;
+        opt.threads = threads;
+        const spice::ac_result res = spice::ac_sweep(net.ckt, freqs, op.solution, opt);
+        if (!adaptive)
+            EXPECT_EQ(res.factorizations, freqs.size());
+        return std::pair{spice::margins(res.freq_hz, spice::node_response(net.ckt, res, "out")),
+                         res.factorizations};
+    });
+}
+
+/// Every point of the caller's grid appears in the adaptive output, also
+/// over a band that is not a whole number of decades (where the output
+/// grid used to be re-derived at a rounded-up density and missed most of
+/// the fixed grid's points).
+TEST(adaptive_sweep, output_contains_the_fixed_grid_over_a_non_integer_decade_band)
+{
+    spice::parsed_netlist net = spice::parse_netlist_file(netlist("two_pole_loop.sp"));
+    const std::vector<real> freqs = numeric::log_grid(1e4, 3e8, 50);
+    const auto expect_superset = [&freqs](const std::vector<real>& out, const char* what) {
+        std::size_t missing = 0;
+        for (const real f : freqs)
+            missing += std::none_of(out.begin(), out.end(),
+                                    [f](real g) { return std::fabs(g - f) <= 1e-9 * f; });
+        EXPECT_EQ(missing, 0u) << what << ": " << missing << " of " << freqs.size()
+                               << " grid points missing from " << out.size() << " outputs";
+    };
+
+    const spice::dc_result op = spice::dc_operating_point(net.ckt);
+    spice::ac_options aopt;
+    aopt.adaptive = true;
+    expect_superset(spice::ac_sweep(net.ckt, freqs, op.solution, aopt).freq_hz, "ac");
+
+    analysis::loop_gain_options lopt;
+    lopt.adaptive = true;
+    expect_superset(analysis::measure_loop_gain(net.ckt, "vprobe", freqs, lopt).freq_hz,
+                    "loop gain");
 }
 
 TEST(adaptive_sweep, opamp_all_nodes_equivalent_at_1_and_4_threads)
@@ -271,31 +351,44 @@ TEST(adaptive_sweep, opamp_all_nodes_equivalent_at_1_and_4_threads)
 
 // ---- driver-level behavior -------------------------------------------------
 
+/// Zero-stimulus snapshot of a parallel RLC tank (the driver tests'
+/// circuit).
+struct tank_fixture {
+    spice::circuit c;
+    std::size_t k = 0;
+    std::unique_ptr<engine::linearized_snapshot> snap;
+
+    explicit tank_fixture(real zeta)
+    {
+        circuits::add_parallel_rlc_tank(c, "tank", zeta, 1e6);
+        const spice::dc_result op = spice::dc_operating_point(c);
+        engine::snapshot_options sopt;
+        sopt.zero_all_sources = true;
+        snap = std::make_unique<engine::linearized_snapshot>(c, op.solution, sopt);
+        k = static_cast<std::size_t>(*c.find_node("tank"));
+    }
+};
+
+engine::sweep_policy adaptive_policy()
+{
+    engine::sweep_policy policy;
+    policy.adaptive = true;
+    return policy;
+}
+
 TEST(adaptive_sweep, solved_points_are_subset_and_model_fills_dense_grid)
 {
-    spice::circuit c;
-    circuits::add_parallel_rlc_tank(c, "tank", 0.2, 1e6);
-    const spice::dc_result op = spice::dc_operating_point(c);
-    engine::snapshot_options sopt;
-    sopt.zero_all_sources = true;
-    const engine::linearized_snapshot snap(c, op.solution, sopt);
-
-    engine::adaptive_sweep_options aopt;
-    aopt.fstart = 1e4;
-    aopt.fstop = 1e8;
-    aopt.output_points_per_decade = 40;
-    const engine::adaptive_sweep eng(aopt);
-    const auto node = c.find_node("tank");
-    ASSERT_TRUE(node.has_value());
-    const std::size_t k = static_cast<std::size_t>(*node);
-    const engine::adaptive_sweep_result res
-        = eng.run_injections(snap, {{k, cplx{1.0, 0.0}}}, {{0, k}});
+    const tank_fixture fx(0.2);
+    const std::vector<real> grid = numeric::log_grid(1e4, 1e8, 40, 8);
+    const engine::sweep_result res = engine::frequency_sweep(
+        *fx.snap, grid, std::vector<engine::sweep_engine::injection>{{fx.k, cplx{1.0, 0.0}}},
+        {{0, fx.k}}, adaptive_policy());
 
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(res.factorizations, res.solved_freq_hz.size());
     // The output grid is dense (at least the fixed grid's size), sorted,
     // and contains every solved frequency.
-    EXPECT_GE(res.freq_hz.size(), numeric::log_grid(1e4, 1e8, 40, 8).size());
+    EXPECT_GE(res.freq_hz.size(), grid.size());
     for (std::size_t i = 1; i < res.freq_hz.size(); ++i)
         EXPECT_GT(res.freq_hz[i], res.freq_hz[i - 1]);
     for (const real f : res.solved_freq_hz)
@@ -310,44 +403,103 @@ TEST(adaptive_sweep, zero_rhs_converges_at_anchor_cost)
     // A zero AC stimulus (all-zero right-hand side) must come back as
     // exact zeros after only the anchor solves — not degrade into a 0/0
     // residual that flags every candidate until the budget is gone.
-    spice::circuit c;
-    circuits::add_parallel_rlc_tank(c, "tank", 0.3, 1e6);
-    const spice::dc_result op = spice::dc_operating_point(c);
-    engine::snapshot_options sopt;
-    sopt.zero_all_sources = true;
-    const engine::linearized_snapshot snap(c, op.solution, sopt);
-
-    const engine::adaptive_sweep eng;
-    const engine::adaptive_sweep_result res
-        = eng.run(snap, {std::vector<cplx>(snap.size(), cplx{})}, {{0, 0}});
+    const tank_fixture fx(0.3);
+    const std::vector<real> grid = numeric::log_grid(1e3, 1e9, 40);
+    const engine::sweep_result res = engine::frequency_sweep(
+        *fx.snap, grid,
+        std::vector<std::vector<cplx>>{std::vector<cplx>(fx.snap->size(), cplx{})}, {{0, 0}},
+        adaptive_policy());
     EXPECT_TRUE(res.converged);
-    const engine::adaptive_sweep_options& aopt = eng.options();
     EXPECT_EQ(res.factorizations,
-              numeric::log_grid(aopt.fstart, aopt.fstop, aopt.anchors_per_decade, 8).size());
+              numeric::log_grid(1e3, 1e9, engine::adaptive_anchors_per_decade, 8).size());
     for (const cplx& v : res.values[0])
         EXPECT_EQ(v, cplx{});
 }
 
-TEST(adaptive_sweep, validates_inputs)
+/// The fixed policy is the sweep engine itself: every grid point solved,
+/// channel values bit-identical to run_injections' solutions at the same
+/// thread count.
+TEST(adaptive_sweep, fixed_policy_matches_run_injections_bit_for_bit)
 {
     spice::circuit c;
-    circuits::add_parallel_rlc_tank(c, "tank", 0.3, 1e6);
+    (void)circuits::build_opamp_buffer(c);
     const spice::dc_result op = spice::dc_operating_point(c);
     engine::snapshot_options sopt;
     sopt.zero_all_sources = true;
     const engine::linearized_snapshot snap(c, op.solution, sopt);
-    const engine::adaptive_sweep eng;
+    const std::vector<real> grid = numeric::log_grid(1e3, 1e9, 40);
+    const std::vector<engine::sweep_engine::injection> injections{{0, cplx{1.0, 0.0}},
+                                                                  {1, cplx{0.0, 2.0}}};
+    const std::vector<engine::sweep_channel> channels{{0, 0}, {1, 1}, {0, snap.size() - 1}};
 
-    EXPECT_THROW((void)eng.run_injections(snap, {{snap.size(), cplx{1.0, 0.0}}}, {{0, 0}}),
-                 analysis_error); // bad injection index
-    EXPECT_THROW((void)eng.run_injections(snap, {{0, cplx{1.0, 0.0}}}, {}),
-                 analysis_error); // no channels
-    EXPECT_THROW((void)eng.run_injections(snap, {{0, cplx{1.0, 0.0}}}, {{1, 0}}),
-                 analysis_error); // channel rhs out of range
-    EXPECT_THROW((void)eng.run_injections(snap, {{0, cplx{1.0, 0.0}}}, {{0, snap.size()}}),
-                 analysis_error); // channel unknown out of range
-    EXPECT_THROW((void)eng.run(snap, {std::vector<cplx>(snap.size() + 1)}, {{0, 0}}),
-                 analysis_error); // wrong RHS length
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        engine::sweep_policy policy;
+        policy.threads = threads;
+        const engine::sweep_result res
+            = engine::frequency_sweep(snap, grid, injections, channels, policy);
+        EXPECT_EQ(res.freq_hz, grid);
+        EXPECT_EQ(res.solved_freq_hz, grid);
+        EXPECT_EQ(res.factorizations, grid.size());
+
+        std::vector<std::vector<cplx>> ref(channels.size(), std::vector<cplx>(grid.size()));
+        engine::sweep_engine(policy.engine())
+            .run_injections(snap, grid, injections,
+                            [&](std::size_t fi, std::size_t ri, std::span<const cplx> sol) {
+                                for (std::size_t ch = 0; ch < channels.size(); ++ch)
+                                    if (channels[ch].rhs == ri)
+                                        ref[ch][fi] = sol[channels[ch].unknown];
+                            });
+        ASSERT_EQ(res.values.size(), channels.size());
+        for (std::size_t ch = 0; ch < channels.size(); ++ch)
+            for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+                EXPECT_EQ(res.values[ch][fi].real(), ref[ch][fi].real())
+                    << "threads=" << threads << " channel " << ch << " point " << fi;
+                EXPECT_EQ(res.values[ch][fi].imag(), ref[ch][fi].imag())
+                    << "threads=" << threads << " channel " << ch << " point " << fi;
+            }
+    }
+}
+
+TEST(adaptive_sweep, validates_inputs)
+{
+    const tank_fixture fx(0.3);
+    const engine::linearized_snapshot& snap = *fx.snap;
+    const std::vector<real> grid = numeric::log_grid(1e3, 1e9, 40);
+    using injections = std::vector<engine::sweep_engine::injection>;
+    for (const bool adaptive : {false, true}) {
+        engine::sweep_policy policy;
+        policy.adaptive = adaptive;
+        const auto sweep = [&](const std::vector<real>& g, const engine::sweep_rhs& rhs,
+                               const std::vector<engine::sweep_channel>& channels) {
+            return engine::frequency_sweep(snap, g, rhs, channels, policy);
+        };
+        EXPECT_THROW((void)sweep(grid, injections{{snap.size(), cplx{1.0, 0.0}}}, {{0, 0}}),
+                     analysis_error); // bad injection index
+        EXPECT_THROW((void)sweep(grid, injections{{0, cplx{1.0, 0.0}}}, {}),
+                     analysis_error); // no channels
+        EXPECT_THROW((void)sweep(grid, injections{{0, cplx{1.0, 0.0}}}, {{1, 0}}),
+                     analysis_error); // channel rhs out of range
+        EXPECT_THROW((void)sweep(grid, injections{{0, cplx{1.0, 0.0}}}, {{0, snap.size()}}),
+                     analysis_error); // channel unknown out of range
+        EXPECT_THROW((void)sweep(grid,
+                                 std::vector<std::vector<cplx>>{
+                                     std::vector<cplx>(snap.size() + 1)},
+                                 {{0, 0}}),
+                     analysis_error); // wrong RHS length
+        EXPECT_THROW((void)sweep(grid, injections{}, {{0, 0}}),
+                     analysis_error); // no right-hand side
+        EXPECT_THROW((void)sweep({}, injections{{0, cplx{1.0, 0.0}}}, {{0, 0}}),
+                     analysis_error); // empty grid
+        EXPECT_THROW((void)sweep({1e3, -1e4}, injections{{0, cplx{1.0, 0.0}}}, {{0, 0}}),
+                     analysis_error); // non-positive frequency
+    }
+    // The adaptive path also needs an ascending grid of >= 2 points.
+    const auto adaptive_sweep = [&](const std::vector<real>& g) {
+        return engine::frequency_sweep(snap, g, injections{{0, cplx{1.0, 0.0}}}, {{0, 0}},
+                                       adaptive_policy());
+    };
+    EXPECT_THROW((void)adaptive_sweep({1e6}), analysis_error);
+    EXPECT_THROW((void)adaptive_sweep({1e3, 1e6, 1e5}), analysis_error);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "core/param_grid.h"
 #include "core/sweeps.h"
+#include "engine/frequency_sweep.h"
 #include "farm/campaign.h"
 #include "farm/executor.h"
 #include "farm/json.h"
@@ -227,6 +228,36 @@ TEST(farm_campaign, spec_round_trips_through_json)
     EXPECT_EQ(back.node, "tank");
     EXPECT_EQ(back.grid.size(), 8u);
     EXPECT_DOUBLE_EQ(back.grid.corners[1].overrides.at("rval"), 500.0);
+}
+
+/// The adaptive sweep's tolerance and anchor density are constants, still
+/// written into every plan: a plan at the constants loads, a plan with any
+/// other value is refused with the re-plan message.
+TEST(farm_campaign, adaptive_tuning_other_than_the_constants_is_refused)
+{
+    const farm::json_value doc = farm::to_json(tank_campaign());
+    EXPECT_EQ(doc.at("sweep").at("fit_tol").as_number(), engine::adaptive_fit_tol);
+    EXPECT_EQ(doc.at("sweep").at("anchors_per_decade").as_index(),
+              engine::adaptive_anchors_per_decade);
+    EXPECT_NO_THROW(static_cast<void>(farm::campaign_from_json(doc)));
+
+    const std::pair<const char*, real> retuned[] = {
+        {"fit_tol", 1e-3}, {"fit_tol", 1e-7}, {"anchors_per_decade", 8.0},
+        {"anchors_per_decade", 2.0}};
+    for (const auto& [key, value] : retuned) {
+        farm::json_value plan = doc;
+        farm::json_value sweep = plan.at("sweep");
+        sweep.set(key, farm::json_value::number(value));
+        plan.set("sweep", std::move(sweep));
+        try {
+            static_cast<void>(farm::campaign_from_json(plan));
+            ADD_FAILURE() << "plan with sweep." << key << " = " << value << " was accepted";
+        } catch (const analysis_error& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(std::string("'sweep.") + key + "'"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("farm plan"), std::string::npos) << msg;
+        }
+    }
 }
 
 // --- parser campaign inputs ------------------------------------------------

@@ -5,7 +5,8 @@
 // fallback, and for unknowns whose diagonal lies outside the L + U
 // pattern — while the all-nodes reports stay byte-identical across
 // thread counts and to the batched path, and the steady-state frequency
-// loop stays allocation-free.
+// loop (selected inversion and the sweep driver's fixed policy) stays
+// allocation-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <span>
@@ -21,6 +23,7 @@
 
 #include "core/analyzer.h"
 #include "core/report.h"
+#include "engine/frequency_sweep.h"
 #include "engine/linearized_snapshot.h"
 #include "engine/sweep_engine.h"
 #include "gen/netlist_gen.h"
@@ -455,8 +458,10 @@ TEST(inverse_diagonal, all_nodes_verdicts_match_batched_solves)
 TEST(inverse_diagonal, steady_state_frequency_loop_does_not_allocate)
 {
     // Two serial sweeps that differ only in grid density: set-up (the
-    // chunk solver, the lazily built index, the worker buffers) is the
-    // same in both, so any difference is per-frequency allocation.
+    // chunk solver, the lazily built index, the worker buffers, the
+    // sweep driver's per-channel output vectors) is the same in both, so
+    // any difference is per-frequency allocation. Audited for selected
+    // inversion and for the frequency-sweep driver's fixed policy.
     spice::parsed_netlist net = load_generated("rcmesh", 400);
     const engine::linearized_snapshot snap = injection_snapshot(net.ckt);
     std::vector<std::size_t> nodes;
@@ -469,17 +474,31 @@ TEST(inverse_diagonal, steady_state_frequency_loop_does_not_allocate)
             sink += std::abs(d);
     };
     const engine::sweep_engine eng{};
-    const auto allocs = [&](std::size_t ppd) {
-        const std::vector<real> freqs = numeric::log_grid(1e3, 1e9, ppd);
-        // Warm the snapshot's cached symbolic object for this grid.
-        eng.run_inverse_diagonal(snap, freqs, nodes, out);
-        const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-        eng.run_inverse_diagonal(snap, freqs, nodes, out);
-        return g_alloc_count.load(std::memory_order_relaxed) - before;
+    const std::vector<engine::sweep_engine::injection> injections{{nodes.back(), cplx{1.0, 0.0}}};
+    const auto sweeps = {
+        std::function<void(const std::vector<real>&)>([&](const std::vector<real>& freqs) {
+            eng.run_inverse_diagonal(snap, freqs, nodes, out);
+        }),
+        std::function<void(const std::vector<real>&)>([&](const std::vector<real>& freqs) {
+            const engine::sweep_result res = engine::frequency_sweep(
+                snap, freqs, injections, {{0, nodes.back()}}, engine::sweep_policy{});
+            sink += std::abs(res.values[0].back());
+        }),
     };
-    const std::size_t small = allocs(5);
-    const std::size_t large = allocs(20);
-    EXPECT_EQ(small, large);
+    for (const auto& sweep : sweeps) {
+        const auto allocs = [&](std::size_t ppd) {
+            // Pre-size the grid outside the count; the first run warms
+            // the snapshot's cached symbolic object for this grid.
+            const std::vector<real> freqs = numeric::log_grid(1e3, 1e9, ppd);
+            sweep(freqs);
+            const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+            sweep(freqs);
+            return g_alloc_count.load(std::memory_order_relaxed) - before;
+        };
+        const std::size_t small = allocs(5);
+        const std::size_t large = allocs(20);
+        EXPECT_EQ(small, large);
+    }
     EXPECT_GT(sink, 0.0);
 }
 

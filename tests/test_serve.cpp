@@ -389,29 +389,36 @@ TEST(serve_e2e, malformed_oversized_and_overdeep_frames_get_structured_errors)
 
 TEST(serve_e2e, plan_naming_a_removed_solver_mode_gets_an_error_frame)
 {
-    // A plan from a build that still serialized solver modes: refused at
-    // admission with an error frame naming the key, and the server keeps
-    // serving.
-    json_value plan = to_json(small_campaign());
-    json_value sweep = plan.at("sweep");
-    sweep.set("warm", json_value::boolean(true));
-    plan.set("sweep", std::move(sweep));
+    // A plan from a build that still serialized solver modes or adaptive
+    // tuning values other than the fixed ones: refused at admission with
+    // an error frame naming the key, and the server keeps serving.
+    const std::pair<const char*, json_value> removed[] = {
+        {"warm", json_value::boolean(true)},
+        {"fit_tol", json_value::number(1e-3)},
+        {"anchors_per_decade", json_value::number(8.0)},
+    };
     serve_fixture fx("removedmode");
     fx.start();
     client c(fx);
-    c.send("{\"op\":\"submit\",\"id\":\"old\",\"plan\":" + plan.dump() + "}\n");
-    const std::optional<json_value> refused = c.read_frame("error", 10.0);
-    ASSERT_TRUE(refused.has_value());
-    EXPECT_EQ(refused->at("id").as_string(), "old");
-    const std::string& msg = refused->at("error").as_string();
-    EXPECT_NE(msg.find("'sweep.warm'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("farm plan"), std::string::npos) << msg;
+    for (const auto& [key, value] : removed) {
+        json_value plan = to_json(small_campaign());
+        json_value sweep = plan.at("sweep");
+        sweep.set(key, value);
+        plan.set("sweep", std::move(sweep));
+        c.send("{\"op\":\"submit\",\"id\":\"old\",\"plan\":" + plan.dump() + "}\n");
+        const std::optional<json_value> refused = c.read_frame("error", 10.0);
+        ASSERT_TRUE(refused.has_value()) << key;
+        EXPECT_EQ(refused->at("id").as_string(), "old");
+        const std::string& msg = refused->at("error").as_string();
+        EXPECT_NE(msg.find(std::string("'sweep.") + key + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("farm plan"), std::string::npos) << msg;
+    }
 
     c.send("{\"op\":\"ping\"}\n");
     EXPECT_TRUE(c.read_frame("pong", 10.0).has_value());
 
     fx.stop();
-    EXPECT_EQ(fx.summary.protocol_errors, 1u);
+    EXPECT_EQ(fx.summary.protocol_errors, std::size(removed));
     EXPECT_EQ(fx.summary.accepted, 0u);
 }
 

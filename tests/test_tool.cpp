@@ -105,7 +105,9 @@ TEST(acstab_cli, removed_solver_flags_exit_nonzero)
     const std::string tran = "tran " + netlist + " --node tank --tstop 1u ";
     for (const std::string& args :
          {stability + "--warm", stability + "--order amd", stability + "--no-simd",
-          stability + "--no-supernodal", stability + "--warm-pipeline", tran + "--oneshot"}) {
+          stability + "--no-supernodal", stability + "--warm-pipeline", tran + "--oneshot",
+          stability + "--adaptive --fit-tol 1e-3",
+          stability + "--adaptive --anchors-per-decade 8"}) {
         const auto [status, err] = run_tool(args);
         EXPECT_NE(status, 0) << args;
         EXPECT_NE(err.find("unknown option"), std::string::npos) << args << ": " << err;
