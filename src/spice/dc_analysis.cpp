@@ -1,93 +1,106 @@
 #include "spice/dc_analysis.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+
+#include "spice/newton.h"
 
 namespace acstab::spice {
 
 namespace {
 
-    struct newton_outcome {
-        bool converged = false;
-        int iterations = 0;
-        bool singular = false; ///< the linearized system could not be factored
+    /// What one dc_operating_point call shares across its ladder rungs:
+    /// one shared-symbolic solver (one symbolic analysis for every
+    /// iteration of every rung), the Newton tolerances, the summed
+    /// iteration count and the ladder diagnostic.
+    struct dc_run {
+        circuit& c;
+        const dc_options& opt;
+        newton_system sys;
+        newton_tolerances tol;
+        dc_result result;
+        std::string ladder;
     };
 
-    /// Shortest round-trip number text for the non-convergence ladder
-    /// diagnostics (std::to_chars: locale-independent, unlike %g).
-    [[nodiscard]] std::string format_value(real v)
+    /// Stamp every device at x (plus the node shunts); returns the pass's
+    /// noncon count.
+    int stamp_circuit(circuit& c, const std::vector<real>& x, const stamp_params& params,
+                      real gshunt, system_builder<real>& b)
     {
-        char buf[40];
-        const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-        return ec == std::errc() ? std::string(buf, ptr) : std::string("?");
+        params.noncon = 0;
+        for (const auto& dev : c.devices())
+            dev->stamp_dc(x, params, b);
+        if (gshunt > 0.0)
+            for (std::size_t i = 0; i < c.node_count(); ++i)
+                b.add(static_cast<node_id>(i), static_cast<node_id>(i), gshunt);
+        return params.noncon;
     }
 
-    /// One ladder rung's verdict: what the Newton loop did at the point
-    /// it gave up.
-    [[nodiscard]] std::string describe_outcome(const newton_outcome& out)
+    /// One Newton solve at fixed continuation parameters. Updates x in
+    /// place and adds its iterations to the run's total; returns the
+    /// status instead of throwing so the continuation ladder can react.
+    newton_outcome newton_solve(dc_run& run, std::vector<real>& x, const stamp_params& params,
+                                real gshunt)
     {
-        if (out.singular)
-            return "singular matrix after " + std::to_string(out.iterations)
-                + " iteration(s)";
-        return "no convergence in " + std::to_string(out.iterations) + " iteration(s)";
-    }
-
-    /// One damped Newton solve at fixed continuation parameters. Updates x
-    /// in place; returns convergence status instead of throwing so the
-    /// continuation ladder can react.
-    newton_outcome newton_solve(circuit& c, std::vector<real>& x, const stamp_params& params,
-                                real gshunt, const dc_options& opt)
-    {
-        const std::size_t n = c.unknown_count();
-        const std::size_t nodes = c.node_count();
-        newton_outcome out;
-
-        for (int it = 0; it < opt.max_iterations; ++it) {
-            system_builder<real> b(n);
-            for (const auto& dev : c.devices())
-                dev->stamp_dc(x, params, b);
-            if (gshunt > 0.0)
-                for (std::size_t i = 0; i < nodes; ++i)
-                    b.add(static_cast<node_id>(i), static_cast<node_id>(i), gshunt);
-
-            std::vector<real> x_new;
-            try {
-                x_new = solve_system(b, opt.solver);
-            } catch (const numeric_error&) {
-                out.singular = true;
-                out.iterations = it + 1;
-                return out; // singular at this continuation point
-            }
-
-            bool converged = true;
-            real worst = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const real delta = std::fabs(x_new[i] - x[i]);
-                const real floor_tol = i < nodes ? opt.vntol : opt.abstol;
-                const real tol = opt.reltol * std::max(std::fabs(x_new[i]), std::fabs(x[i]))
-                    + floor_tol;
-                if (delta > tol)
-                    converged = false;
-                worst = std::max(worst, delta);
-            }
-
-            if (converged) {
-                x = std::move(x_new);
-                out.converged = true;
-                out.iterations = it + 1;
-                return out;
-            }
-
-            // Damping: clamp the infinity norm of the update.
-            real scale = 1.0;
-            if (opt.max_step > 0.0 && worst > opt.max_step)
-                scale = opt.max_step / worst;
-            for (std::size_t i = 0; i < n; ++i)
-                x[i] += scale * (x_new[i] - x[i]);
-            out.iterations = it + 1;
-        }
+        const newton_outcome out = newton_iterate(
+            run.sys, x, run.c.node_count(), run.opt.max_iterations, run.tol,
+            [&](const std::vector<real>& xi, system_builder<real>& b) {
+                return stamp_circuit(run.c, xi, params, gshunt, b);
+            });
+        run.result.iterations += out.iterations;
         return out;
+    }
+
+    /// KCL residual of a converged point: one stamp pass at x with
+    /// limiting off and a product with the assembled matrix, no
+    /// factorization. Row i of A x - b is the net current into node i (or
+    /// the residual of branch equation i). Returns the largest ratio of a
+    /// row's residual to its tolerance: reltol times the magnitude of the
+    /// row's own terms (a componentwise backward error) plus the row's
+    /// floor, abstol for node rows and vntol for branch rows. The point
+    /// passes when the ratio is at most 1.
+    [[nodiscard]] real kcl_residual_ratio(dc_run& run, const std::vector<real>& x,
+                                          const stamp_params& params, real gshunt)
+    {
+        stamp_params exact = params;
+        exact.limit = false;
+        system_builder<real>& b = run.sys.begin_stamp();
+        (void)stamp_circuit(run.c, x, exact, gshunt, b);
+
+        const std::size_t n = x.size();
+        std::vector<real> resid(n);
+        std::vector<real> scale(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            resid[i] = -b.rhs()[i];
+            scale[i] = std::fabs(b.rhs()[i]);
+        }
+        for (const auto& e : b.matrix().entries()) {
+            const real term = e.value * x[e.col];
+            resid[e.row] += term;
+            scale[e.row] += std::fabs(term);
+        }
+        real worst = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const real floor_tol = i < run.c.node_count() ? run.tol.abstol : run.tol.vntol;
+            worst = std::max(worst, std::fabs(resid[i]) / (run.tol.reltol * scale[i] + floor_tol));
+        }
+        return worst;
+    }
+
+    /// Accept a rung's converged point if it passes the KCL residual
+    /// check; a failed check fails the rung and the ladder continues.
+    [[nodiscard]] bool accept(dc_run& run, std::vector<real>& x, const stamp_params& params,
+                              real gshunt, const std::string& rung)
+    {
+        const real ratio = kcl_residual_ratio(run, x, params, gshunt);
+        if (!(ratio <= 1.0)) {
+            log_rung(run.ladder, rung + ": converged, but the KCL residual is "
+                                     + format_value(ratio) + "x its tolerance");
+            return false;
+        }
+        run.result.solution = std::move(x);
+        run.result.used_gshunt = gshunt > 0.0;
+        return true;
     }
 
     void reset_devices(circuit& c)
@@ -96,74 +109,59 @@ namespace {
             dev->dc_begin();
     }
 
-    /// Append one attempted-strategy clause to the ladder diagnostic that
-    /// a final convergence_error carries.
-    void log_rung(std::string& ladder, const std::string& clause)
+    [[nodiscard]] std::string rung_name(const char* strategy, real gshunt)
     {
-        if (!ladder.empty())
-            ladder += "; ";
-        ladder += clause;
+        return std::string(strategy) + " (gshunt=" + format_value(gshunt) + ")";
     }
 
-    [[nodiscard]] bool try_plain(circuit& c, real gshunt, const dc_options& opt,
-                                 const stamp_params& params, dc_result& result,
-                                 std::string& ladder)
+    [[nodiscard]] bool try_plain(dc_run& run, real gshunt)
     {
-        reset_devices(c);
-        std::vector<real> x(c.unknown_count(), 0.0);
-        const newton_outcome plain = newton_solve(c, x, params, gshunt, opt);
+        const std::string rung = rung_name("plain Newton", gshunt);
+        reset_devices(run.c);
+        std::vector<real> x(run.c.unknown_count(), 0.0);
+        const stamp_params params{.gmin = run.opt.gmin};
+        const newton_outcome plain = newton_solve(run, x, params, gshunt);
         if (!plain.converged) {
-            log_rung(ladder, "plain Newton (gshunt=" + format_value(gshunt) + "): "
-                                 + describe_outcome(plain));
+            log_rung(run.ladder, rung + ": " + describe_outcome(plain));
             return false;
         }
-        result.solution = std::move(x);
-        result.iterations = plain.iterations;
-        result.used_gshunt = gshunt > 0.0;
-        return true;
+        return accept(run, x, params, gshunt, rung);
     }
 
-    [[nodiscard]] bool try_gmin_stepping(circuit& c, real gshunt, const dc_options& opt,
-                                         dc_result& result, std::string& ladder)
+    [[nodiscard]] bool try_gmin_stepping(dc_run& run, real gshunt)
     {
-        reset_devices(c);
-        std::vector<real> x(c.unknown_count(), 0.0);
+        const std::string rung = rung_name("gmin stepping", gshunt);
+        reset_devices(run.c);
+        std::vector<real> x(run.c.unknown_count(), 0.0);
         stamp_params step;
-        step.continuation = true;
-        for (real g = 1e-2; g >= opt.gmin * 0.99; g *= 0.1) {
+        for (real g = 1e-2; g >= run.opt.gmin * 0.99; g *= 0.1) {
             step.gmin = g;
-            const newton_outcome out = newton_solve(c, x, step, gshunt, opt);
+            const newton_outcome out = newton_solve(run, x, step, gshunt);
             if (!out.converged) {
-                log_rung(ladder, "gmin stepping (gshunt=" + format_value(gshunt)
-                                     + "): stalled at gmin=" + format_value(g) + ", "
-                                     + describe_outcome(out));
+                log_rung(run.ladder, rung + ": stalled at gmin=" + format_value(g) + ", "
+                                         + describe_outcome(out));
                 return false;
             }
         }
-        step.gmin = opt.gmin;
-        step.continuation = false;
-        const newton_outcome last = newton_solve(c, x, step, gshunt, opt);
+        step.gmin = run.opt.gmin;
+        const newton_outcome last = newton_solve(run, x, step, gshunt);
         if (!last.converged) {
-            log_rung(ladder, "gmin stepping (gshunt=" + format_value(gshunt)
-                                 + "): final polish at gmin=" + format_value(opt.gmin)
-                                 + " failed, " + describe_outcome(last));
+            log_rung(run.ladder, rung + ": final polish at gmin=" + format_value(run.opt.gmin)
+                                     + " failed, " + describe_outcome(last));
             return false;
         }
-        result.solution = std::move(x);
-        result.iterations = last.iterations;
-        result.used_gmin_stepping = true;
-        result.used_gshunt = gshunt > 0.0;
+        if (!accept(run, x, step, gshunt, rung))
+            return false;
+        run.result.used_gmin_stepping = true;
         return true;
     }
 
-    [[nodiscard]] bool try_source_stepping(circuit& c, real gshunt, const dc_options& opt,
-                                           dc_result& result, std::string& ladder)
+    [[nodiscard]] bool try_source_stepping(dc_run& run, real gshunt)
     {
-        reset_devices(c);
-        std::vector<real> x_good(c.unknown_count(), 0.0);
-        stamp_params step;
-        step.gmin = opt.gmin;
-        step.continuation = true;
+        const std::string rung = rung_name("source stepping", gshunt);
+        reset_devices(run.c);
+        std::vector<real> x_good(run.c.unknown_count(), 0.0);
+        stamp_params step{.gmin = run.opt.gmin};
 
         real last_good = 0.0;
         real increment = 0.05;
@@ -173,7 +171,7 @@ namespace {
             const real scale = std::min(1.0, last_good + increment);
             step.source_scale = scale;
             std::vector<real> x = x_good;
-            last_attempt = newton_solve(c, x, step, gshunt, opt);
+            last_attempt = newton_solve(run, x, step, gshunt);
             if (last_attempt.converged) {
                 last_good = scale;
                 x_good = std::move(x);
@@ -181,28 +179,24 @@ namespace {
             } else {
                 increment *= 0.25;
                 if (++failures > 16 || increment < 1e-5) {
-                    log_rung(ladder, "source stepping (gshunt=" + format_value(gshunt)
-                                         + "): stalled at source scale "
-                                         + format_value(last_good) + " after "
-                                         + std::to_string(failures) + " rejected steps, "
-                                         + describe_outcome(last_attempt));
+                    log_rung(run.ladder, rung + ": stalled at source scale "
+                                             + format_value(last_good) + " after "
+                                             + std::to_string(failures) + " rejected steps, "
+                                             + describe_outcome(last_attempt));
                     return false;
                 }
             }
         }
         step.source_scale = 1.0;
-        step.continuation = false;
-        const newton_outcome final_solve = newton_solve(c, x_good, step, gshunt, opt);
+        const newton_outcome final_solve = newton_solve(run, x_good, step, gshunt);
         if (!final_solve.converged) {
-            log_rung(ladder, "source stepping (gshunt=" + format_value(gshunt)
-                                 + "): full-source polish failed, "
-                                 + describe_outcome(final_solve));
+            log_rung(run.ladder,
+                     rung + ": full-source polish failed, " + describe_outcome(final_solve));
             return false;
         }
-        result.solution = std::move(x_good);
-        result.iterations = final_solve.iterations;
-        result.used_source_stepping = true;
-        result.used_gshunt = gshunt > 0.0;
+        if (!accept(run, x_good, step, gshunt, rung))
+            return false;
+        run.result.used_source_stepping = true;
         return true;
     }
 
@@ -211,38 +205,38 @@ namespace {
 dc_result dc_operating_point(circuit& c, const dc_options& opt)
 {
     c.finalize();
-    dc_result result;
-
-    stamp_params params;
-    params.gmin = opt.gmin;
-
     // Every rung the ladder actually attempts records its gshunt value
     // and where the Newton loop gave up, so a non-convergence error tells
     // the user (and the farm's quarantine records) exactly what was
     // tried instead of a generic "did not converge".
-    std::string ladder;
+    dc_run run{c,
+               opt,
+               newton_system(c.unknown_count(), opt.solver == solver_kind::sparse, opt.solver),
+               {.reltol = opt.reltol, .vntol = opt.vntol, .abstol = opt.abstol},
+               {},
+               {}};
 
-    if (try_plain(c, opt.gshunt, opt, params, result, ladder))
-        return result;
+    if (try_plain(run, opt.gshunt))
+        return std::move(run.result);
     const bool retry_shunt = opt.gshunt_retry > opt.gshunt;
-    if (retry_shunt && try_plain(c, opt.gshunt_retry, opt, params, result, ladder))
-        return result;
+    if (retry_shunt && try_plain(run, opt.gshunt_retry))
+        return std::move(run.result);
 
     const real gshunt = std::max(opt.gshunt, retry_shunt ? opt.gshunt_retry : opt.gshunt);
     if (opt.allow_gmin_stepping) {
-        if (try_gmin_stepping(c, gshunt, opt, result, ladder))
-            return result;
+        if (try_gmin_stepping(run, gshunt))
+            return std::move(run.result);
     } else {
-        log_rung(ladder, "gmin stepping: disabled");
+        log_rung(run.ladder, "gmin stepping: disabled");
     }
     if (opt.allow_source_stepping) {
-        if (try_source_stepping(c, gshunt, opt, result, ladder))
-            return result;
+        if (try_source_stepping(run, gshunt))
+            return std::move(run.result);
     } else {
-        log_rung(ladder, "source stepping: disabled");
+        log_rung(run.ladder, "source stepping: disabled");
     }
 
-    throw convergence_error("dc operating point did not converge; attempted: " + ladder);
+    throw convergence_error("dc operating point did not converge; attempted: " + run.ladder);
 }
 
 real node_voltage(const circuit& c, const std::vector<real>& solution,

@@ -1,6 +1,27 @@
-// DC operating-point analysis: damped Newton–Raphson with device-level
-// junction limiting, falling back to gmin stepping and then source
-// stepping (the standard SPICE continuation ladder).
+// DC operating-point analysis with SPICE3 Newton semantics, falling back
+// to gmin stepping and then source stepping (the standard SPICE
+// continuation ladder).
+//
+// - Junctions start at their critical voltage (MODEINITJCT): the first
+//   iterate of every rung stamps a BJT's BE junction and a diode at
+//   V_crit, a BC junction at 0 and a MOSFET at threshold with vds = 0,
+//   whatever the guess says. Only that iterate is unconditionally
+//   unconverged.
+// - Devices limit their own voltage steps (pnjlim for junctions,
+//   fetlim/limvds for MOSFETs) and linearize at the limited voltages.
+//   Every limiter that fires counts one `noncon`, and no iterate with
+//   noncon > 0 converges (spice/newton.h has the test).
+// - There is no global step clamp: each Newton update is applied whole.
+// - A converged point is accepted only after a KCL residual check at the
+//   point itself: one stamp pass with limiting off and a product with the
+//   assembled matrix, no factorization. A failed check fails the rung and
+//   the ladder continues.
+//
+// With solver_kind::sparse every iteration of every rung runs through one
+// spice::tran_solver: one symbolic analysis per call, and refactoring only
+// when the assembled values change (a linear circuit's second iterate
+// reuses its factors). solver_kind::dense solves each iterate with the
+// dense reference LU through spice::solve_system.
 #ifndef ACSTAB_SPICE_DC_ANALYSIS_H
 #define ACSTAB_SPICE_DC_ANALYSIS_H
 
@@ -23,8 +44,6 @@ struct dc_options {
     real reltol = 1e-3;
     real vntol = 1e-6;
     real abstol = 1e-12;
-    /// Largest Newton update applied per unknown per iteration [V or A].
-    real max_step = 2.0;
     solver_kind solver = solver_kind::sparse;
     bool allow_gmin_stepping = true;
     bool allow_source_stepping = true;
@@ -32,7 +51,7 @@ struct dc_options {
 
 struct dc_result {
     std::vector<real> solution; ///< node voltages then branch currents
-    int iterations = 0;         ///< Newton iterations of the final solve
+    int iterations = 0;         ///< Newton iterations summed over every rung that ran
     bool used_gmin_stepping = false;
     bool used_source_stepping = false;
     bool used_gshunt = false;

@@ -78,10 +78,17 @@ private:
 struct stamp_params {
     /// Junction shunt conductance for convergence (SPICE GMIN).
     real gmin = 1e-12;
-    /// True while gmin/source stepping is active (devices may relax).
-    bool continuation = false;
     /// Source scale factor in [0,1] for source stepping; 1 = full value.
     real source_scale = 1.0;
+    /// Device voltage limiting (pnjlim, fetlim/limvds). Off only for the
+    /// DC residual check, which must linearize every device at the
+    /// solution itself.
+    bool limit = true;
+    /// Limiter firings and MODEINITJCT stamps during this stamp pass
+    /// (SPICE3's CKTnoncon). Devices count through the const
+    /// reference every stamp receives; the Newton loop clears it before
+    /// each pass and refuses to converge on an iterate where it is > 0.
+    mutable int noncon = 0;
 };
 
 /// Small-signal stamp context.
@@ -138,8 +145,10 @@ public:
     /// circuit::finalize after all devices exist.
     virtual void bind(const circuit&) {}
 
-    /// Reset Newton helper state (junction limiting history) before a new
-    /// DC solve.
+    /// Reset Newton helper state before a new DC solve. Nonlinear devices
+    /// arm SPICE3's MODEINITJCT here: their next stamp ignores the
+    /// candidate solution, linearizes at a fixed starting bias (junctions
+    /// at V_crit, MOSFETs at threshold) and counts one noncon.
     virtual void dc_begin() {}
 
     virtual void stamp_dc(const std::vector<real>& x, const stamp_params& p,

@@ -16,6 +16,7 @@ void bjt::dc_begin()
 {
     vbe_state_ = 0.0;
     vbc_state_ = 0.0;
+    init_junctions_ = true;
 }
 
 bjt::eval_result bjt::evaluate(real vbe, real vbc) const noexcept
@@ -54,7 +55,7 @@ bjt::eval_result bjt::evaluate(real vbe, real vbc) const noexcept
 }
 
 void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
-                           system_builder<real>& b, bool limit)
+                           system_builder<real>& b)
 {
     const node_id nc = nodes()[0];
     const node_id nb = nodes()[1];
@@ -64,11 +65,21 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
     const real nvt_f = model_.nf * vt;
     const real nvt_r = model_.nr * vt;
 
-    real vbe = pol_ * unknown_voltage(x, nb, ne);
-    real vbc = pol_ * unknown_voltage(x, nb, nc);
-    if (limit) {
-        vbe = pnjlim(vbe, vbe_state_, nvt_f, junction_vcrit(model_.is, nvt_f));
-        vbc = pnjlim(vbc, vbc_state_, nvt_r, junction_vcrit(model_.is, nvt_r));
+    real vbe = 0.0;
+    real vbc = 0.0;
+    if (init_junctions_) {
+        // MODEINITJCT: a zero guess leaves the transistor off and the
+        // emitter node to gmin alone; start forward-active instead.
+        vbe = junction_vcrit(model_.is, nvt_f);
+        init_junctions_ = false;
+        ++p.noncon;
+    } else {
+        vbe = pol_ * unknown_voltage(x, nb, ne);
+        vbc = pol_ * unknown_voltage(x, nb, nc);
+        if (p.limit) {
+            vbe = pnjlim(vbe, vbe_state_, nvt_f, junction_vcrit(model_.is, nvt_f), p.noncon);
+            vbc = pnjlim(vbc, vbc_state_, nvt_r, junction_vcrit(model_.is, nvt_r), p.noncon);
+        }
     }
     vbe_state_ = vbe;
     vbc_state_ = vbc;
@@ -78,9 +89,14 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
     // Terminal currents into C and B (actual orientation); E balances.
     // Internal voltages are pol * actual, currents pol * internal, so the
     // polarity cancels in every Jacobian entry but not in the currents.
-    const real vb = nb >= 0 ? x[static_cast<std::size_t>(nb)] : 0.0;
-    const real vc = nc >= 0 ? x[static_cast<std::size_t>(nc)] : 0.0;
-    const real ve = ne >= 0 ? x[static_cast<std::size_t>(ne)] : 0.0;
+    //
+    // The companion current is built about the terminal voltages of the
+    // (limited) linearization point, not the candidate x: the currents in
+    // cur[] were evaluated there. Every Jacobian row sums to zero, so
+    // only voltage differences matter and the base can sit at 0.
+    const real vb = 0.0;
+    const real vc = -pol_ * vbc;
+    const real ve = -pol_ * vbe;
 
     // Rows: Ic, Ib; columns: vb, vc, ve.
     const real jac[2][3] = {
@@ -118,7 +134,7 @@ void bjt::stamp_linearized(const std::vector<real>& x, const stamp_params& p,
 
 void bjt::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_builder<real>& b)
 {
-    stamp_linearized(x, p, b, true);
+    stamp_linearized(x, p, b);
 }
 
 void bjt::stamp_ac(const std::vector<real>& op, const ac_params& p, system_builder<cplx>& b) const
@@ -156,11 +172,12 @@ void bjt::tran_begin(const std::vector<real>& op)
     cap_bc_.begin(unknown_voltage(op, nb, nc));
     vbe_state_ = pol_ * unknown_voltage(op, nb, ne);
     vbc_state_ = pol_ * unknown_voltage(op, nb, nc);
+    init_junctions_ = false;
 }
 
 void bjt::stamp_tran(const std::vector<real>& x, const tran_params& p, system_builder<real>& b)
 {
-    stamp_linearized(x, p.dc, b, true);
+    stamp_linearized(x, p.dc, b);
     const eval_result r = evaluate(vbe_state_, vbc_state_);
     cap_be_.stamp(b, nodes()[1], nodes()[2], r.cbe, p);
     cap_bc_.stamp(b, nodes()[1], nodes()[0], r.cbc, p);

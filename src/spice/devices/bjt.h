@@ -83,12 +83,13 @@ private:
     };
     [[nodiscard]] eval_result evaluate(real vbe, real vbc) const noexcept;
     void stamp_linearized(const std::vector<real>& x, const stamp_params& p,
-                          system_builder<real>& b, bool limit);
+                          system_builder<real>& b);
 
     bjt_model model_;
     real pol_ = 1.0;
     real vbe_state_ = 0.0;
     real vbc_state_ = 0.0;
+    bool init_junctions_ = false; ///< MODEINITJCT armed by dc_begin
     companion_cap cap_be_;
     companion_cap cap_bc_;
 };

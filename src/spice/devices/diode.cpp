@@ -12,14 +12,23 @@ diode::diode(std::string name, node_id anode, node_id cathode, diode_model model
 void diode::dc_begin()
 {
     v_limit_state_ = 0.0;
+    init_junction_ = true;
 }
 
 void diode::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_builder<real>& b)
 {
     const real n_vt = model_.n * thermal_voltage(model_.temp);
     const real vcrit = junction_vcrit(model_.is, n_vt);
-    real vd = unknown_voltage(x, nodes()[0], nodes()[1]);
-    vd = pnjlim(vd, v_limit_state_, n_vt, vcrit);
+    real vd = 0.0;
+    if (init_junction_) {
+        vd = vcrit; // MODEINITJCT: the first DC iterate starts at V_crit
+        init_junction_ = false;
+        ++p.noncon;
+    } else {
+        vd = unknown_voltage(x, nodes()[0], nodes()[1]);
+        if (p.limit)
+            vd = pnjlim(vd, v_limit_state_, n_vt, vcrit, p.noncon);
+    }
     v_limit_state_ = vd;
 
     const junction_current jc = junction_exp(vd, model_.is, n_vt);
@@ -45,6 +54,7 @@ void diode::tran_begin(const std::vector<real>& op)
     v_prev_ = unknown_voltage(op, nodes()[0], nodes()[1]);
     icap_prev_ = 0.0;
     v_limit_state_ = v_prev_;
+    init_junction_ = false;
 }
 
 void diode::stamp_tran(const std::vector<real>& x, const tran_params& p, system_builder<real>& b)

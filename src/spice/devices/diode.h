@@ -43,6 +43,7 @@ public:
 private:
     diode_model model_;
     real v_limit_state_ = 0.0; // previous Newton iterate (junction limiting)
+    bool init_junction_ = false; // MODEINITJCT armed by dc_begin
     real v_prev_ = 0.0;        // accepted transient junction voltage
     real icap_prev_ = 0.0;     // accepted transient capacitor current
 };

@@ -23,10 +23,15 @@ namespace acstab::spice {
 }
 
 /// SPICE3 pnjlim: clamp the Newton update of a junction voltage so the
-/// exponential cannot overflow or oscillate.
-[[nodiscard]] inline real pnjlim(real v_new, real v_old, real n_vt, real vcrit) noexcept
+/// exponential cannot overflow or oscillate. Every call that moves the
+/// voltage increments `noncon` (SPICE3's CKTnoncon): the device is then
+/// linearized somewhere other than the candidate solution, so that Newton
+/// iterate must not be declared converged.
+[[nodiscard]] inline real pnjlim(real v_new, real v_old, real n_vt, real vcrit,
+                                 int& noncon) noexcept
 {
     if (v_new > vcrit && std::fabs(v_new - v_old) > 2.0 * n_vt) {
+        ++noncon;
         if (v_old > 0.0) {
             const real arg = 1.0 + (v_new - v_old) / n_vt;
             if (arg > 0.0)

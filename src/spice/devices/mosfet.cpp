@@ -7,6 +7,72 @@
 
 namespace acstab::spice {
 
+namespace {
+
+    /// SPICE3 DEVfetlim: limit the Newton step of a gate voltage so one
+    /// iterate cannot swing the channel from deep off to deep on (or back)
+    /// around the threshold vto. Counts a noncon when it moves vnew.
+    [[nodiscard]] real fetlim(real vnew, real vold, real vto, int& noncon) noexcept
+    {
+        const real requested = vnew;
+        const real vtsthi = std::fabs(2.0 * (vold - vto)) + 2.0;
+        const real vtstlo = std::fabs(vold - vto) + 1.0;
+        const real vtox = vto + 3.5;
+        const real delv = vnew - vold;
+        if (vold >= vto) {
+            if (vold >= vtox) {
+                if (delv <= 0.0) {
+                    // going off
+                    if (vnew >= vtox) {
+                        if (-delv > vtstlo)
+                            vnew = vold - vtstlo;
+                    } else {
+                        vnew = std::max(vnew, vto + 2.0);
+                    }
+                } else if (delv >= vtsthi) {
+                    vnew = vold + vtsthi; // staying on
+                }
+            } else if (delv <= 0.0) {
+                vnew = std::max(vnew, vto - 0.5); // middle region, decreasing
+            } else {
+                vnew = std::min(vnew, vto + 4.0); // middle region, increasing
+            }
+        } else if (delv <= 0.0) {
+            if (-delv > vtsthi)
+                vnew = vold - vtsthi; // off, going further off
+        } else if (vnew <= vto + 0.5) {
+            if (delv > vtstlo)
+                vnew = vold + vtstlo; // off, turning on slowly
+        } else {
+            vnew = vto + 0.5; // off, turning on
+        }
+        if (vnew != requested)
+            ++noncon;
+        return vnew;
+    }
+
+    /// SPICE3 DEVlimvds: limit the Newton step of a drain-source voltage.
+    /// Counts a noncon when it moves vnew.
+    [[nodiscard]] real limvds(real vnew, real vold, int& noncon) noexcept
+    {
+        const real requested = vnew;
+        if (vold >= 3.5) {
+            if (vnew > vold)
+                vnew = std::min(vnew, 3.0 * vold + 2.0);
+            else if (vnew < 3.5)
+                vnew = std::max(vnew, 2.0);
+        } else if (vnew > vold) {
+            vnew = std::min(vnew, 4.0);
+        } else {
+            vnew = std::max(vnew, -0.5);
+        }
+        if (vnew != requested)
+            ++noncon;
+        return vnew;
+    }
+
+} // namespace
+
 mosfet::mosfet(std::string name, node_id drain, node_id gate, node_id source, node_id bulk,
                mosfet_model model, real width, real length)
     : device(std::move(name), {drain, gate, source, bulk}), model_(model), w_(width), l_(length)
@@ -93,6 +159,13 @@ mosfet::eval_result mosfet::evaluate(real vgs, real vds, real vbs) const noexcep
     return r;
 }
 
+void mosfet::dc_begin()
+{
+    vgs_state_ = 0.0;
+    vds_state_ = 0.0;
+    init_junctions_ = true;
+}
+
 void mosfet::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_builder<real>& b)
 {
     const node_id nd = nodes()[0];
@@ -101,17 +174,47 @@ void mosfet::stamp_dc(const std::vector<real>& x, const stamp_params& p, system_
     const node_id nb = nodes()[3];
     const real pol = model_.polarity == mos_polarity::nmos ? 1.0 : -1.0;
 
-    const real vgs = pol * unknown_voltage(x, ng, ns);
-    const real vds = pol * unknown_voltage(x, nd, ns);
-    const real vbs = pol * unknown_voltage(x, nb, ns);
+    real vgs = 0.0;
+    real vds = 0.0;
+    real vbs = 0.0;
+    if (init_junctions_) {
+        // MODEINITJCT: the first DC iterate starts at threshold with the
+        // bulk junction reverse-biased, whatever the guess says.
+        vgs = model_.vto;
+        vbs = -1.0;
+        init_junctions_ = false;
+        ++p.noncon;
+    } else {
+        vgs = pol * unknown_voltage(x, ng, ns);
+        vds = pol * unknown_voltage(x, nd, ns);
+        vbs = pol * unknown_voltage(x, nb, ns);
+        if (p.limit) {
+            // SPICE3 mos1load: limit the gate voltage on the side that is
+            // currently the source, then the drain-source swing.
+            const real vgd = vgs - vds;
+            if (vds_state_ >= 0.0) {
+                vgs = fetlim(vgs, vgs_state_, model_.vto, p.noncon);
+                vds = limvds(vgs - vgd, vds_state_, p.noncon);
+            } else {
+                const real vgd_lim = fetlim(vgd, vgs_state_ - vds_state_, model_.vto, p.noncon);
+                vds = -limvds(vgd_lim - vgs, -vds_state_, p.noncon);
+                vgs = vgd_lim + vds;
+            }
+        }
+    }
+    vgs_state_ = vgs;
+    vds_state_ = vds;
     const eval_result r = evaluate(vgs, vds, vbs);
 
     // Current into the drain terminal: pol * id; source balances; the
     // polarity cancels in the Jacobian (chain rule applies pol twice).
-    const real vd = nd >= 0 ? x[static_cast<std::size_t>(nd)] : 0.0;
-    const real vg = ng >= 0 ? x[static_cast<std::size_t>(ng)] : 0.0;
-    const real vs = ns >= 0 ? x[static_cast<std::size_t>(ns)] : 0.0;
-    const real vb = nb >= 0 ? x[static_cast<std::size_t>(nb)] : 0.0;
+    // The companion current is built about the terminal voltages of the
+    // (limited) linearization point; every row sums to zero, so the
+    // source can sit at 0.
+    const real vd = pol * vds;
+    const real vg = pol * vgs;
+    const real vs = 0.0;
+    const real vb = pol * vbs;
 
     // Row d: id; row s = -row d. Columns g, d, b, s.
     const real jg = r.did_dvgs;
@@ -184,6 +287,10 @@ void mosfet::tran_begin(const std::vector<real>& op)
     cap_gb_.begin(unknown_voltage(op, ng, nb));
     cap_db_.begin(unknown_voltage(op, nd, nb));
     cap_sb_.begin(unknown_voltage(op, ns, nb));
+    const real pol = model_.polarity == mos_polarity::nmos ? 1.0 : -1.0;
+    vgs_state_ = pol * unknown_voltage(op, ng, ns);
+    vds_state_ = pol * unknown_voltage(op, nd, ns);
+    init_junctions_ = false;
 }
 
 void mosfet::stamp_tran(const std::vector<real>& x, const tran_params& p, system_builder<real>& b)

@@ -50,6 +50,7 @@ public:
     [[nodiscard]] real width() const noexcept { return w_; }
     [[nodiscard]] real length() const noexcept { return l_; }
 
+    void dc_begin() override;
     void stamp_dc(const std::vector<real>& x, const stamp_params& p,
                   system_builder<real>& b) override;
     void stamp_ac(const std::vector<real>& op, const ac_params& p,
@@ -81,6 +82,9 @@ private:
     mosfet_model model_;
     real w_;
     real l_;
+    real vgs_state_ = 0.0; ///< previous Newton iterate (fetlim/limvds)
+    real vds_state_ = 0.0;
+    bool init_junctions_ = false; ///< MODEINITJCT armed by dc_begin
     companion_cap cap_gs_;
     companion_cap cap_gd_;
     companion_cap cap_gb_;

@@ -2,12 +2,13 @@
 // Gilbert–Peierls (the default). Shared by every analysis.
 //
 // This one-shot helper compresses and factors from scratch per call. It
-// serves DC Newton, the one-shot transient oracle
-// (tran_options::shared_solver = false) and engine::reference_ac_sweep.
-// Loops that solve the same pattern repeatedly should not use it:
-// frequency sweeps go through engine::sweep_engine and transient Newton
-// solves through spice::tran_solver, both of which share one symbolic
-// factorization and refactor numerically in place.
+// serves the oracles: dense DC Newton (dc_options::solver), the one-shot
+// transient path (tran_options::shared_solver = false) and
+// engine::reference_ac_sweep. Loops that solve the same pattern
+// repeatedly should not use it: frequency sweeps go through
+// engine::sweep_engine and DC and transient Newton solves through
+// spice::tran_solver, both of which share one symbolic factorization and
+// refactor numerically in place.
 #ifndef ACSTAB_SPICE_MNA_H
 #define ACSTAB_SPICE_MNA_H
 

@@ -1,54 +1,19 @@
 #include "spice/tran_analysis.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <memory>
+
+#include "spice/newton.h"
 
 namespace acstab::spice {
 
 namespace {
 
-    struct step_outcome {
-        bool converged = false;
-        int iterations = 0;
-        real worst_delta = 0.0; ///< largest unknown update of the last iteration
-        bool singular = false;  ///< the companion system could not be factored
-    };
-
-    /// Shortest round-trip number text for the non-convergence ladder
-    /// diagnostics (std::to_chars: locale-independent, unlike %g).
-    [[nodiscard]] std::string format_value(real v)
+    /// Companion-model stamps for one Newton iterate; returns the pass's
+    /// noncon count.
+    int stamp_system(circuit& c, const std::vector<real>& x, const tran_params& p,
+                     real gshunt, system_builder<real>& b)
     {
-        char buf[40];
-        const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-        return ec == std::errc() ? std::string(buf, ptr) : std::string("?");
-    }
-
-    /// One ladder rung's verdict: what the Newton loop did at the step
-    /// size it gave up on.
-    [[nodiscard]] std::string describe_outcome(const step_outcome& out)
-    {
-        if (out.singular)
-            return "singular matrix after " + std::to_string(out.iterations)
-                + " iteration(s)";
-        return "no convergence in " + std::to_string(out.iterations)
-            + " iteration(s) (last max update " + format_value(out.worst_delta) + ")";
-    }
-
-    /// Append one attempted-step clause to the ladder diagnostic that a
-    /// final convergence_error carries.
-    void log_rung(std::string& ladder, const std::string& clause)
-    {
-        if (!ladder.empty())
-            ladder += "; ";
-        ladder += clause;
-    }
-
-    /// Companion-model stamps for one Newton iterate.
-    void stamp_system(circuit& c, const std::vector<real>& x, const tran_params& p,
-                      real gshunt, system_builder<real>& b)
-    {
+        p.dc.noncon = 0;
         for (const auto& dev : c.devices())
             dev->stamp_tran(x, p, b);
         if (gshunt > 0.0) {
@@ -56,58 +21,7 @@ namespace {
             for (std::size_t i = 0; i < nodes; ++i)
                 b.add(static_cast<node_id>(i), static_cast<node_id>(i), gshunt);
         }
-    }
-
-    /// Newton iteration for one candidate time step. Updates x in place
-    /// and reports how the loop ended so the halving ladder can react.
-    /// `shared` selects the shared-symbolic solver; null runs the one-shot
-    /// oracle. Both run the identical iteration and convergence
-    /// test — only the linear-solve plumbing differs.
-    step_outcome solve_step(circuit& c, std::vector<real>& x, const tran_params& p,
-                            const tran_options& opt, tran_solver* shared)
-    {
-        const std::size_t n = c.unknown_count();
-        const std::size_t nodes = c.node_count();
-        step_outcome out;
-
-        for (int it = 0; it < opt.max_newton; ++it) {
-            std::vector<real> x_new;
-            try {
-                if (shared) {
-                    system_builder<real>& b = shared->begin_stamp();
-                    stamp_system(c, x, p, opt.dc.gshunt, b);
-                    x_new = shared->solve();
-                } else {
-                    system_builder<real> b(n);
-                    stamp_system(c, x, p, opt.dc.gshunt, b);
-                    x_new = solve_system(b, solver_kind::sparse);
-                }
-            } catch (const numeric_error&) {
-                out.singular = true;
-                out.iterations = it + 1;
-                return out;
-            }
-
-            bool converged = true;
-            real worst = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const real delta = std::fabs(x_new[i] - x[i]);
-                const real floor_tol = i < nodes ? opt.vntol : opt.abstol;
-                const real tol = opt.reltol * std::max(std::fabs(x_new[i]), std::fabs(x[i]))
-                    + floor_tol;
-                if (delta > tol)
-                    converged = false;
-                worst = std::max(worst, delta);
-            }
-            out.worst_delta = worst;
-            out.iterations = it + 1;
-            x = std::move(x_new);
-            if (converged) {
-                out.converged = true;
-                return out;
-            }
-        }
-        return out;
+        return p.dc.noncon;
     }
 
 } // namespace
@@ -142,9 +56,8 @@ tran_result transient(circuit& c, const tran_options& opt)
 
     // One shared symbolic factorization serves every Newton solve of the
     // run; the one-shot path re-factors from scratch per solve.
-    std::unique_ptr<tran_solver> shared;
-    if (opt.shared_solver)
-        shared = std::make_unique<tran_solver>(c.unknown_count());
+    newton_system sys(c.unknown_count(), opt.shared_solver, solver_kind::sparse);
+    const newton_tolerances tol{.reltol = opt.reltol, .vntol = opt.vntol, .abstol = opt.abstol};
 
     tran_result res;
     res.time.push_back(0.0);
@@ -155,7 +68,7 @@ tran_result transient(circuit& c, const tran_options& opt)
     std::size_t next_bp = 0;
     bool force_be = true; // BE kick at t = 0
 
-    const stamp_params dc_params{.gmin = opt.dc.gmin, .continuation = false, .source_scale = 1.0};
+    const stamp_params dc_params{.gmin = opt.dc.gmin};
 
     while (t < opt.tstop * (1.0 - 1e-12)) {
         real dt = std::min(dt_nominal, opt.tstop - t);
@@ -182,7 +95,11 @@ tran_result transient(circuit& c, const tran_options& opt)
             p.dc = dc_params;
 
             std::vector<real> x_try = x;
-            const step_outcome out = solve_step(c, x_try, p, opt, shared.get());
+            const newton_outcome out = newton_iterate(
+                sys, x_try, c.node_count(), opt.max_newton, tol,
+                [&](const std::vector<real>& xi, system_builder<real>& b) {
+                    return stamp_system(c, xi, p, opt.dc.gshunt, b);
+                });
             if (out.converged) {
                 for (const auto& dev : c.devices())
                     dev->tran_accept(x_try, p);
@@ -209,8 +126,7 @@ tran_result transient(circuit& c, const tran_options& opt)
             force_be = true; // restart the integrator across the corner
         }
     }
-    if (shared)
-        res.solver = shared->stats();
+    res.solver = sys.stats();
     return res;
 }
 

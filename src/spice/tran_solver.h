@@ -1,4 +1,4 @@
-// Shared-symbolic linear solver for the transient Newton loop.
+// Shared-symbolic linear solver for the DC and transient Newton loops.
 //
 // The companion-model stamp pattern is fixed across timesteps and Newton
 // iterations — device topology never changes mid-run, only conductance

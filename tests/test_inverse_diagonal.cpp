@@ -69,8 +69,27 @@ void* operator new[](std::size_t size, std::align_val_t align)
     return operator new(size, align);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// the same malloc as the deletes below. libstdc++'s defaults forward to
+// the replaced operator new, but AddressSanitizer substitutes its own.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    try {
+        return operator new(size);
+    } catch (const std::bad_alloc&) {
+        return nullptr;
+    }
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }

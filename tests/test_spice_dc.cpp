@@ -2,10 +2,15 @@
 // nonlinear bias points, continuation fallbacks and failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "common/error.h"
 #include "circuits/bias.h"
+#include "circuits/followers.h"
+#include "circuits/opamp.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
 #include "spice/devices/bjt.h"
@@ -15,6 +20,12 @@
 #include "spice/devices/mosfet.h"
 #include "spice/devices/passive.h"
 #include "spice/devices/sources.h"
+#include "spice/parser/netlist_parser.h"
+#include "gen/netlist_gen.h"
+
+#ifndef ACSTAB_NETLIST_DIR
+#define ACSTAB_NETLIST_DIR "netlists"
+#endif
 
 namespace {
 
@@ -218,11 +229,11 @@ TEST(dc, floating_node_resolved_by_gshunt_retry)
     EXPECT_NEAR(node_voltage(c, op.solution, "a"), 1.0, 1e-9);
 }
 
-TEST(dc, bias_generator_needs_continuation)
+TEST(dc, bias_generator_finds_the_intended_state)
 {
-    // The self-biased reference has a zero-current equilibrium; plain
-    // Newton from zero lands there or fails, so continuation must engage
-    // and find the intended ~10 uA state.
+    // The self-biased reference also has a zero-current equilibrium; the
+    // DC solve must find the intended ~10 uA state. (Starting the
+    // junctions at V_crit gets there without continuation.)
     circuit c;
     circuits::build_standalone_bias(c);
     const dc_result op = dc_operating_point(c);
@@ -295,6 +306,178 @@ TEST(dc, unknown_node_query_throws)
     c.add<resistor>("r1", n, ground_node, 1e3);
     const dc_result op = dc_operating_point(c);
     EXPECT_THROW(static_cast<void>(node_voltage(c, op.solution, "nope")), analysis_error);
+}
+
+spice::parsed_netlist parse_shipped(const std::string& name, const parse_options& opt = {})
+{
+    return parse_netlist_file(std::string(ACSTAB_NETLIST_DIR) + "/" + name, opt);
+}
+
+TEST(dc, follower_converges_from_zero_without_the_ladder)
+{
+    // The one-transistor follower used to take 141 iterations: the BJT
+    // companion current was built about the unlimited terminal voltages
+    // while the device was evaluated at the limited ones.
+    auto net = parse_shipped("follower.sp");
+    const dc_result op = dc_operating_point(net.ckt);
+    EXPECT_LE(op.iterations, 10);
+    EXPECT_FALSE(op.used_gmin_stepping);
+    EXPECT_FALSE(op.used_source_stepping);
+    EXPECT_FALSE(op.used_gshunt);
+    EXPECT_NEAR(node_voltage(net.ckt, op.solution, "f_out"), 1.66257, 1e-4);
+}
+
+/// Largest ratio, over node rows, of the net current into the node to
+/// reltol times the sum of the magnitudes of the currents meeting there
+/// (plus abstol). Every device is linearized at x itself (no limiting),
+/// so row i of A x - b is exactly the KCL sum at node i.
+real kcl_ratio(circuit& c, const std::vector<real>& x)
+{
+    constexpr real reltol = 1e-3;
+    constexpr real abstol = 1e-12;
+    const std::size_t n = c.unknown_count();
+    system_builder<real> b(n);
+    const stamp_params p{.gmin = 1e-12, .limit = false};
+    for (const auto& dev : c.devices())
+        dev->stamp_dc(x, p, b);
+    std::vector<real> net(n, 0.0);
+    std::vector<real> mag(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        net[i] = -b.rhs()[i];
+        mag[i] = std::fabs(b.rhs()[i]);
+    }
+    for (const auto& e : b.matrix().entries()) {
+        net[e.row] += e.value * x[e.col];
+        mag[e.row] += std::fabs(e.value * x[e.col]);
+    }
+    real worst = 0.0;
+    for (std::size_t i = 0; i < c.node_count(); ++i)
+        worst = std::max(worst, std::fabs(net[i]) / (reltol * mag[i] + abstol));
+    return worst;
+}
+
+TEST(dc, operating_points_satisfy_kcl_across_temperature_and_solvers)
+{
+    // Every nonlinear fixture at three temperatures, with the sparse
+    // product solver and the dense oracle: the returned point satisfies
+    // KCL, needs no continuation, and the two solvers agree to within the
+    // Newton tolerance. Fixtures without a temperature input (the
+    // followers and the MOSFET circuits) repeat unchanged.
+    using builder = std::function<void(circuit&, real)>;
+    const std::vector<std::pair<std::string, builder>> fixtures = {
+        {"follower.sp",
+         [](circuit& c, real t) {
+             parse_options po;
+             po.temp_celsius = t;
+             c = std::move(parse_shipped("follower.sp", po).ckt);
+         }},
+        {"zero_tc_bias",
+         [](circuit& c, real t) {
+             circuits::bias_params bp;
+             bp.temp_celsius = t;
+             (void)circuits::build_standalone_bias(c, bp);
+         }},
+        {"emitter_follower", [](circuit& c, real) { (void)circuits::build_emitter_follower(c); }},
+        {"source_follower", [](circuit& c, real) { (void)circuits::build_source_follower(c); }},
+        {"current_mirror", [](circuit& c, real) { (void)circuits::build_current_mirror(c); }},
+        {"opamp_buffer", [](circuit& c, real) { (void)circuits::build_opamp_buffer(c); }},
+        {"opamp_open_loop", [](circuit& c, real) { (void)circuits::build_opamp_open_loop(c); }},
+    };
+    for (const auto& [name, build] : fixtures) {
+        for (const real temp : {-40.0, 27.0, 125.0}) {
+            std::vector<real> first;
+            for (const solver_kind kind : {solver_kind::sparse, solver_kind::dense}) {
+                SCOPED_TRACE(name + " at " + std::to_string(temp) + " C, "
+                             + (kind == solver_kind::sparse ? "sparse" : "dense"));
+                circuit c;
+                build(c, temp);
+                dc_options opt;
+                opt.solver = kind;
+                const dc_result op = dc_operating_point(c, opt);
+                EXPECT_FALSE(op.used_gmin_stepping);
+                EXPECT_FALSE(op.used_source_stepping);
+                EXPECT_LE(kcl_ratio(c, op.solution), 1.0);
+                if (first.empty()) {
+                    first = op.solution;
+                    continue;
+                }
+                for (std::size_t i = 0; i < c.node_count(); ++i)
+                    EXPECT_NEAR(op.solution[i], first[i], 1e-3 * std::fabs(first[i]) + 1e-6);
+            }
+        }
+    }
+}
+
+TEST(dc, circuits_without_junctions_keep_their_iteration_counts)
+{
+    // Linear circuits need no limiting: a zero operating point converges
+    // on the first solve, any other on the second (which reuses the first
+    // solve's factors).
+    for (const char* name : {"rlc_tank.sp", "two_pole_loop.sp", "three_pole_loop.sp"}) {
+        auto net = parse_shipped(name);
+        EXPECT_EQ(dc_operating_point(net.ckt).iterations, 1) << name;
+    }
+    gen::gen_options g;
+    g.size = 400;
+    auto mesh = parse_netlist(gen::rcmesh_netlist(g));
+    for (const solver_kind kind : {solver_kind::sparse, solver_kind::dense}) {
+        dc_options opt;
+        opt.solver = kind;
+        EXPECT_EQ(dc_operating_point(mesh.ckt, opt).iterations, 2);
+    }
+}
+
+/// A conductance whose Newton stamp disagrees with its exact one: 1 mS
+/// while limiting is on, 2 mS when the residual check stamps it.
+class inconsistent_conductance final : public device {
+public:
+    inconsistent_conductance(std::string name, node_id a) : device(std::move(name), {a}) {}
+    [[nodiscard]] std::string_view type_name() const noexcept override { return "test"; }
+    void stamp_dc(const std::vector<real>&, const stamp_params& p,
+                  system_builder<real>& b) override
+    {
+        b.add(nodes()[0], nodes()[0], p.limit ? 1e-3 : 2e-3);
+    }
+    void stamp_ac(const std::vector<real>&, const ac_params&, system_builder<cplx>&) const override
+    {
+    }
+};
+
+TEST(dc, kcl_check_fails_every_rung_whose_point_violates_kcl)
+{
+    // Newton converges to 1 V on the 1 mS stamp, but at 1 V the exact
+    // stamp leaves 1 mA unbalanced: no rung may accept that point.
+    circuit c;
+    const node_id n = c.node("n");
+    c.add<isource>("i1", ground_node, n, 1e-3);
+    c.add<inconsistent_conductance>("g1", n);
+    try {
+        (void)dc_operating_point(c);
+        FAIL() << "a point that violates KCL must not be accepted";
+    } catch (const convergence_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("plain Newton (gshunt=0): converged, but the KCL residual"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("source stepping (gshunt=1e-09): converged, but the KCL residual"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(dc, iteration_count_sums_every_ladder_rung)
+{
+    // A floating node makes the plain rung singular on its first solve;
+    // the gshunt retry then converges. Both rungs count.
+    circuit c;
+    const node_id a = c.node("a");
+    const node_id fl = c.node("floating");
+    c.add<vsource>("v1", a, ground_node, 1.0);
+    c.add<resistor>("r1", a, ground_node, 1e3);
+    c.add<capacitor>("c1", a, fl, 1e-12);
+    const dc_result op = dc_operating_point(c);
+    EXPECT_TRUE(op.used_gshunt);
+    EXPECT_EQ(op.iterations, 1 + 2);
 }
 
 } // namespace

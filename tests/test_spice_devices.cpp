@@ -85,14 +85,17 @@ TEST(junction, pnjlim_clamps_big_steps)
 {
     const real vt = thermal_voltage();
     const real vcrit = junction_vcrit(1e-14, vt);
-    // Huge jump above vcrit is log-compressed.
-    const real limited = pnjlim(5.0, 0.6, vt, vcrit);
+    int noncon = 0;
+    // Huge jump above vcrit is log-compressed, and reported.
+    const real limited = pnjlim(5.0, 0.6, vt, vcrit, noncon);
     EXPECT_LT(limited, 0.8);
     EXPECT_GT(limited, 0.6);
+    EXPECT_EQ(noncon, 1);
     // Small steps pass through.
-    EXPECT_NEAR(pnjlim(0.62, 0.6, vt, vcrit), 0.62, 1e-15);
+    EXPECT_NEAR(pnjlim(0.62, 0.6, vt, vcrit, noncon), 0.62, 1e-15);
     // Negative voltages pass through.
-    EXPECT_NEAR(pnjlim(-3.0, 0.0, vt, vcrit), -3.0, 1e-15);
+    EXPECT_NEAR(pnjlim(-3.0, 0.0, vt, vcrit, noncon), -3.0, 1e-15);
+    EXPECT_EQ(noncon, 1);
 }
 
 TEST(junction, capacitance_model)
@@ -193,6 +196,132 @@ TEST(bjt, terminal_currents_sum_to_zero)
     const bjt_small_signal ss = q.small_signal(op.solution);
     // ie = -(ic + ib) is implicit in the model; check ic/ib ratio ~ beta.
     EXPECT_NEAR(ss.ic / ss.ib, npn.bf, npn.bf * 0.05);
+}
+
+/// Currents the stamped linear model predicts at terminal voltages v:
+/// row i of A v - b (the current leaving node i into the device).
+std::vector<real> predicted_currents(const system_builder<real>& b, const std::vector<real>& v)
+{
+    std::vector<real> out(b.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = -b.rhs()[i];
+    for (const auto& e : b.matrix().entries())
+        out[e.row] += e.value * v[e.col];
+    return out;
+}
+
+void expect_bjt_currents(const std::vector<real>& got, const bjt_small_signal& want)
+{
+    const real tol = 1e-9 * std::fabs(want.ic) + 1e-18;
+    EXPECT_NEAR(got[0], want.ic, tol);
+    EXPECT_NEAR(got[1], want.ib, tol);
+    EXPECT_NEAR(got[2], -(want.ic + want.ib), tol);
+}
+
+TEST(bjt, limited_stamp_reproduces_the_currents_at_the_limited_voltages)
+{
+    // Unknowns 0, 1, 2 = collector, base, emitter (no ground terminal).
+    for (const bjt_polarity pol : {bjt_polarity::npn, bjt_polarity::pnp}) {
+        SCOPED_TRACE(pol == bjt_polarity::npn ? "npn" : "pnp");
+        bjt_model m;
+        m.polarity = pol;
+        m.vaf = 50.0;
+        const real s = pol == bjt_polarity::npn ? 1.0 : -1.0;
+        bjt q("q", 0, 1, 2, m);
+        const stamp_params p{.gmin = 0.0};
+
+        // Settle the limiter history at a moderate forward bias.
+        system_builder<real> warm(3);
+        q.stamp_dc({s * 2.0, s * 0.6, 0.0}, p, warm);
+        EXPECT_EQ(p.noncon, 0);
+
+        // A 3 V base step: pnjlim moves vbe, vbc (-2 V) passes through.
+        const std::vector<real> x = {s * 5.0, s * 3.0, 0.0};
+        system_builder<real> b(3);
+        q.stamp_dc(x, p, b);
+        EXPECT_EQ(p.noncon, 1);
+
+        const real vt = thermal_voltage(m.temp);
+        int unused = 0;
+        const real vbe_lim = pnjlim(3.0, 0.6, vt, junction_vcrit(m.is, vt), unused);
+        ASSERT_LT(vbe_lim, 1.0);
+        const std::vector<real> v_lim = {x[0], x[1], x[1] - s * vbe_lim};
+        expect_bjt_currents(predicted_currents(b, v_lim), q.small_signal(v_lim));
+    }
+}
+
+TEST(mosfet, limited_stamp_reproduces_the_current_at_the_limited_voltages)
+{
+    // Unknowns 0..3 = drain, gate, source, bulk. From vgs = 1.5 V a 10 V
+    // gate step is held to vto + 4 (SPICE3 fetlim, middle region); vgd is
+    // kept, so vds = 4.7 - (10 - 7) = 1.7 V, inside limvds' window.
+    for (const mos_polarity pol : {mos_polarity::nmos, mos_polarity::pmos}) {
+        SCOPED_TRACE(pol == mos_polarity::nmos ? "nmos" : "pmos");
+        mosfet_model m;
+        m.polarity = pol;
+        m.gamma = 0.4;
+        const real s = pol == mos_polarity::nmos ? 1.0 : -1.0;
+        mosfet q("m", 0, 1, 2, 3, m, 20e-6, 2e-6);
+        const stamp_params p{.gmin = 0.0};
+
+        // Settle the limiter history: the first stamp turns the channel
+        // on to vto + 0.5 only, the second reaches vgs = 1.5 V unlimited.
+        system_builder<real> warm(4);
+        q.stamp_dc({s * 2.0, s * 1.5, 0.0, 0.0}, p, warm);
+        EXPECT_EQ(p.noncon, 1);
+        p.noncon = 0;
+        q.stamp_dc({s * 2.0, s * 1.5, 0.0, 0.0}, p, warm);
+        EXPECT_EQ(p.noncon, 0);
+
+        system_builder<real> b(4);
+        q.stamp_dc({s * 7.0, s * 10.0, 0.0, 0.0}, p, b);
+        EXPECT_GE(p.noncon, 1);
+
+        const std::vector<real> v_lim = {s * 1.7, s * (m.vto + 4.0), 0.0, 0.0};
+        const real id = q.small_signal(v_lim).id;
+        ASSERT_GT(std::fabs(id), 0.0);
+        const std::vector<real> got = predicted_currents(b, v_lim);
+        EXPECT_NEAR(got[0], id, 1e-9 * std::fabs(id));
+        EXPECT_NEAR(got[1], 0.0, 1e-9 * std::fabs(id));
+        EXPECT_NEAR(got[2], -id, 1e-9 * std::fabs(id));
+        EXPECT_NEAR(got[3], 0.0, 1e-9 * std::fabs(id));
+    }
+}
+
+TEST(junction_init, first_dc_stamp_after_dc_begin_starts_at_vcrit)
+{
+    // MODEINITJCT: whatever the guess, the first stamp of a DC solve
+    // linearizes the BE junction at V_crit and the BC junction at 0, and
+    // counts one noncon; the next stamp follows the guess again.
+    bjt_model m;
+    bjt q("q", 0, 1, 2, m);
+    const real vt = thermal_voltage(m.temp);
+    const real vcrit = junction_vcrit(m.is, vt);
+    const stamp_params p{.gmin = 0.0};
+    q.dc_begin();
+    system_builder<real> b(3);
+    q.stamp_dc({0.0, 0.0, 0.0}, p, b);
+    EXPECT_EQ(p.noncon, 1);
+    const std::vector<real> v_init = {0.0, 0.0, -vcrit};
+    expect_bjt_currents(predicted_currents(b, v_init), q.small_signal(v_init));
+
+    p.noncon = 0;
+    system_builder<real> again(3);
+    q.stamp_dc({0.0, 0.0, 0.0}, p, again);
+    EXPECT_EQ(p.noncon, 0);
+
+    diode_model dm;
+    diode d("d", 0, 1, dm);
+    const real dvcrit = junction_vcrit(dm.is, vt);
+    d.dc_begin();
+    p.noncon = 0;
+    system_builder<real> bd(2);
+    d.stamp_dc({0.0, 0.0}, p, bd);
+    EXPECT_EQ(p.noncon, 1);
+    const std::vector<real> i_init = predicted_currents(bd, {dvcrit, 0.0});
+    const real id = dm.is * (std::exp(dvcrit / vt) - 1.0);
+    EXPECT_NEAR(i_init[0], id, 1e-9 * id);
+    EXPECT_NEAR(i_init[1], -id, 1e-9 * id);
 }
 
 TEST(mosfet, region_classification)
