@@ -20,12 +20,20 @@
 //       amdx_column    approximate minimum degree, column numeric path
 //                      with the scalar batch solve (the oracle and
 //                      speedup baseline)
-//       amdx_sn_simd   supernodal/blocked numeric path with the blocked
-//                      batch solve (the one product configuration)
+//       amdx_sn_simd   the one product configuration: the numeric path
+//                      the supernode partition picks (blocked on the
+//                      meshes, column on the ladders) with the blocked
+//                      batch solve
 //     with the answers checked against the baseline. The ablation runs
 //     in both right-hand-side regimes: 24 probes (the all-nodes stability
 //     shape) and 1 probe (the single-node stability / ac / impedance /
 //     loopgain shape).
+//   * path choice ("scaling_choice" rows): the refactorization path the
+//     supernode partition picks (symbolic_lu::blocked_refactor_pays) on
+//     the shipped netlists and on generated ladders and meshes, with one
+//     refactorization on each path timed in the same run. These rows
+//     calibrate the choice; CI checks that the picked path is not the
+//     slower one on follower.sp and on the 2k mesh.
 //   * all-nodes diagonal ("scaling_alldiag" rows, rcmesh only): the
 //     `stability --all` shape, diag(Y^-1) at every node on an 11-point
 //     grid, by selected inversion (alldiag_selinv) and by one back-solve
@@ -41,6 +49,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <utility>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,6 +62,7 @@
 #include "numeric/amd_order.h"
 #include "numeric/interpolation.h"
 #include "numeric/sparse_factor.h"
+#include "numeric/supernode.h"
 #include "spice/ac_analysis.h"
 #include "spice/circuit.h"
 #include "spice/dc_analysis.h"
@@ -63,8 +73,8 @@ namespace {
 using namespace acstab;
 
 struct row {
-    std::string bench;          ///< "scaling_fill" | "_phase" | "_sweep" | "_alldiag"
-    std::string kind;           ///< "ladder" | "rcmesh"
+    std::string bench;          ///< "scaling_fill" | "_phase" | "_sweep" | "_alldiag" | "_choice"
+    std::string kind;           ///< "ladder" | "rcmesh" | a shipped netlist
     std::size_t unknowns = 0;
     std::string mode;           ///< ordering name or sweep configuration
     long long probes = -1;      ///< right-hand sides of the sweep ablation
@@ -72,6 +82,8 @@ struct row {
     double ms_per_freq = -1.0;  ///< sweep wall time / frequency count
     long long factors = -1;     ///< numeric factorizations
     double max_rel_err = 0.0;   ///< vs the amdx_column baseline magnitudes
+    double sub_rows = -1.0;     ///< choice rows: mean sub-rows per supernode
+    std::string picked;         ///< choice rows: the path the partition picks
 };
 
 std::vector<row>& results()
@@ -86,11 +98,12 @@ void emit_json()
     for (std::size_t i = 0; i < results().size(); ++i) {
         const row& r = results()[i];
         std::printf("%s{\"bench\":\"%s\",\"kind\":\"%s\",\"unknowns\":%zu,"
-                    "\"mode\":\"%s\",\"probes\":%lld,\"lu_nnz\":%lld,\"ms_per_freq\":%.5f,"
-                    "\"factors\":%lld,\"max_rel_err\":%.3g}",
+                    "\"mode\":\"%s\",\"probes\":%lld,\"lu_nnz\":%lld,\"ms_per_freq\":%.7f,"
+                    "\"factors\":%lld,\"max_rel_err\":%.3g,\"sub_rows\":%.3f,"
+                    "\"picked\":\"%s\"}",
                     i == 0 ? "" : ",", r.bench.c_str(), r.kind.c_str(), r.unknowns,
                     r.mode.c_str(), r.probes, r.lu_nnz, r.ms_per_freq, r.factors,
-                    r.max_rel_err);
+                    r.max_rel_err, r.sub_rows, r.picked.c_str());
     }
     std::puts("]");
 }
@@ -197,6 +210,7 @@ void print_phase_breakdown(const std::vector<std::size_t>& sizes, int repeats)
             });
 
             numeric::numeric_lu<cplx> col(sym);
+            col.set_supernodal(false);
             numeric::numeric_lu<cplx> blk(sym);
             blk.set_batch_kernel(numeric::batch_kernel::simd);
             blk.set_supernodal(true);
@@ -426,6 +440,96 @@ void print_alldiag(const std::vector<std::size_t>& sizes)
     std::puts("");
 }
 
+/// Y(jw) at 1 MHz of a shipped netlist or a generated circuit, at its
+/// operating point.
+numeric::csc_matrix<cplx> choice_matrix(spice::circuit& c)
+{
+    c.finalize();
+    const std::vector<real> op = spice::dc_operating_point(c).solution;
+    engine::snapshot_options sopt;
+    sopt.gshunt = 1e-9;
+    sopt.zero_all_sources = true;
+    const engine::linearized_snapshot snap(c, op, sopt);
+    numeric::csc_matrix<cplx> work = snap.make_workspace();
+    snap.assemble(to_omega(1e6), work);
+    return work;
+}
+
+/// Which refactorization path the supernode partition picks
+/// (symbolic_lu::blocked_refactor_pays), against both paths timed in the
+/// same run: one refactorization of Y(jw), best of `repeats` passes of
+/// enough back-to-back refactorizations to sit far above timer
+/// resolution on a 6-unknown circuit. These rows calibrate
+/// blocked_refactor_min_sub_rows, and CI checks that the picked path is
+/// never the slower one on follower.sp and on the 2k mesh.
+void print_choice_table(std::vector<std::pair<std::string, spice::parsed_netlist>> cases,
+                        int repeats)
+{
+    std::puts("==============================================================================");
+    std::puts("A5f — refactorization path the supernode partition picks, us per refactor");
+    std::puts("==============================================================================");
+    std::puts("circuit             unknowns  sub-rows  picked       column   supernodal  col/sn");
+    std::puts("------------------------------------------------------------------------------");
+    for (auto& [kind, net] : cases) {
+        const numeric::csc_matrix<cplx> work = choice_matrix(net.ckt);
+        const auto sym = std::make_shared<const numeric::symbolic_lu<cplx>>(work);
+        const numeric::supernode_partition& sn = sym->supernodes();
+        const double sub_rows
+            = static_cast<double>(sn.rows.size()) / static_cast<double>(sn.count());
+        const char* picked = sym->blocked_refactor_pays() ? "supernodal" : "column";
+
+        numeric::numeric_lu<cplx> col(sym);
+        col.set_supernodal(false);
+        numeric::numeric_lu<cplx> blk(sym);
+        blk.set_supernodal(true);
+        col.refactor(work);
+        blk.refactor(work);
+        const std::size_t nnz = sym->lower_nnz() + sym->upper_nnz();
+        const int loops = static_cast<int>(std::max<std::size_t>(1, 400000 / nnz));
+        double ms_col = 1e300;
+        double ms_sn = 1e300;
+        for (int rep = 0; rep < repeats; ++rep) {
+            ms_col = std::min(ms_col, time_ms([&] {
+                for (int i = 0; i < loops; ++i)
+                    col.refactor(work);
+            }) / loops);
+            ms_sn = std::min(ms_sn, time_ms([&] {
+                for (int i = 0; i < loops; ++i)
+                    blk.refactor(work);
+            }) / loops);
+        }
+        std::printf("%-18s %8zu  %8.2f  %-10s %9.3f  %9.3f    %5.2f\n", kind.c_str(),
+                    sym->size(), sub_rows, picked, 1e3 * ms_col, 1e3 * ms_sn, ms_col / ms_sn);
+        for (const auto& [mode, ms] : {std::pair{"refactor_column", ms_col},
+                                       std::pair{"refactor_supernodal", ms_sn}}) {
+            row r{"scaling_choice", kind, sym->size(), mode, -1,
+                  static_cast<long long>(nnz), ms, loops, 0.0};
+            r.sub_rows = sub_rows;
+            r.picked = picked;
+            results().push_back(r);
+        }
+    }
+    std::puts("");
+}
+
+/// The choice table's circuits: the shipped netlists, then generated
+/// ladders and meshes of the given sizes.
+std::vector<std::pair<std::string, spice::parsed_netlist>>
+choice_cases(const std::vector<const char*>& shipped, const std::vector<std::size_t>& sizes)
+{
+    std::vector<std::pair<std::string, spice::parsed_netlist>> cases;
+    for (const char* name : shipped)
+        cases.emplace_back(name, spice::parse_netlist_file(std::string(ACSTAB_NETLIST_DIR)
+                                                           + "/" + name));
+    for (const std::string kind : {"ladder", "rcmesh"})
+        for (const std::size_t size : sizes) {
+            gen::gen_options gopt;
+            gopt.size = size;
+            cases.emplace_back(kind, spice::parse_netlist(gen::generate_netlist(kind, gopt)));
+        }
+    return cases;
+}
+
 } // namespace
 
 int main(int argc, char** argv)
@@ -445,12 +549,17 @@ int main(int argc, char** argv)
         // all-nodes oracle runs only 11 points, so it stays within the
         // job's minutes budget).
         print_fill_table({2048});
+        print_choice_table(choice_cases({"follower.sp"}, {2048}), 5);
         print_phase_breakdown({2048, 8192}, 1);
         print_sweep_ablation(title24, 24, {2048, 8192}, 1);
         print_sweep_ablation(title1, 1, {2048}, 1);
         print_alldiag({2048, 8192});
     } else {
         print_fill_table({512, 2048, 8192});
+        print_choice_table(
+            choice_cases({"rlc_tank.sp", "two_pole_loop.sp", "three_pole_loop.sp", "follower.sp"},
+                         {64, 144, 256, 400, 1024, 2048, 8192}),
+            5);
         print_phase_breakdown({512, 2048, 8192}, 3);
         print_sweep_ablation(title24, 24, {512, 2048, 8192}, 3);
         print_sweep_ablation(title1, 1, {512, 2048, 8192}, 3);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -114,6 +116,18 @@ grid_point param_grid::point(std::size_t index) const
     for (std::size_t a = 0; a < axes.size(); ++a)
         pt.overrides[axes[a].name] = axes[a].values[axis_digit[a]];
     return pt;
+}
+
+circuit_template circuit_template::from_file(const std::string& path)
+{
+    circuit_template tmpl{path, ""};
+    std::ifstream in(path);
+    if (in) {
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        tmpl.text = buffer.str();
+    }
+    return tmpl;
 }
 
 spice::parsed_netlist circuit_template::build(const grid_point& pt) const

@@ -72,10 +72,16 @@ struct param_grid {
 /// A circuit rebuildable from a netlist plus a grid point: the value-typed
 /// replacement for the closure factories (closures cannot cross process
 /// boundaries; a path + override map can). Exactly one of `path` / `text`
-/// is used: `text` when non-empty (hermetic tests), else `path`.
+/// is used: `text` when non-empty, else `path` (read on every build).
 struct circuit_template {
     std::string path;
     std::string text;
+
+    /// A template over the netlist file at `path`, read once here rather
+    /// than once per build. An unreadable or empty file keeps the
+    /// path-only form, so every build reports exactly what reading the
+    /// file per point would.
+    [[nodiscard]] static circuit_template from_file(const std::string& path);
 
     /// Parse the netlist with the point's overrides applied.
     [[nodiscard]] spice::parsed_netlist build(const grid_point& pt) const;

@@ -119,7 +119,8 @@ namespace {
         {
             num_->set_batch_kernel(opt_.tuning.simd ? numeric::batch_kernel::simd
                                                     : numeric::batch_kernel::scalar);
-            num_->set_supernodal(opt_.tuning.supernodal);
+            if (!opt_.tuning.supernodal)
+                num_->set_supernodal(false);
         }
 
         /// Normwise backward error of Y x = 1 for the all-ones probe:

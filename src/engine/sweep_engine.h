@@ -7,9 +7,10 @@
 //     on the shared thread_pool (deterministic partition for a given
 //     thread count, so results are reproducible run to run);
 //   * one solver configuration, with no user-facing knobs: approximate
-//     minimum degree ordering, supernodal refactorization and the SIMD
-//     batch kernel (solver_tuning keeps the alternatives only as test and
-//     bench oracles);
+//     minimum degree ordering, the refactorization path the supernode
+//     partition picks (blocked on meshes, column on ladders and small
+//     circuits) and the SIMD batch kernel (solver_tuning keeps the
+//     alternatives only as test and bench oracles);
 //   * the symbolic LU (pivot order, L/U patterns) is computed ONCE per
 //     snapshot at the grid's middle frequency and shared read-only by all
 //     workers; at every frequency each worker assembles the snapshot into
@@ -46,13 +47,13 @@ namespace acstab::engine {
 
 /// Sparse-solver selectors. The product path runs exactly one
 /// configuration — approximate-minimum-degree ordering, the SIMD batch
-/// kernel and supernodal refactorization, i.e. these defaults — and no
-/// command line flag or plan key reaches them. They are oracle selectors
-/// for tests and benches, not user settings: the natural order, exact
-/// minimum degree, the scalar kernel and the column numeric path stay
-/// only as references the default configuration is compared against.
-/// Every selector changes speed (or fill), never answers beyond
-/// rounding.
+/// kernel and the numeric path the supernode partition picks, i.e. these
+/// defaults — and no command line flag or plan key reaches them. They
+/// are oracle selectors for tests and benches, not user settings: the
+/// natural order, exact minimum degree, the scalar kernel and the forced
+/// column numeric path stay only as references the default
+/// configuration is compared against. Every selector changes speed (or
+/// fill), never answers beyond rounding.
 struct solver_tuning {
     /// Fill-reducing column pre-ordering of the shared symbolic LU.
     /// Approximate minimum degree: fill within a few percent of exact
@@ -67,11 +68,13 @@ struct solver_tuning {
     /// changes results; scalar and blocked answers agree to rounding, not
     /// bit-for-bit.
     bool simd = true;
-    /// Supernodal/blocked numeric path: refactorization runs the blocked
-    /// elimination over the symbolic supernode partition and the batched
-    /// back-solve walks dense panels (numeric_lu::set_supernodal). false
-    /// selects the column-at-a-time path, the oracle blocked answers are
-    /// CI-guarded against (1e-12).
+    /// true: the supernode partition decides between the blocked
+    /// elimination (with the batched back-solve walking dense panels)
+    /// and the column-at-a-time path (symbolic_lu::
+    /// blocked_refactor_pays) — meshes of a few hundred nodes and up run
+    /// blocked, ladders and the small shipped circuits run column. false
+    /// forces the column path, the oracle blocked answers are CI-guarded
+    /// against (1e-12).
     bool supernodal = true;
 };
 

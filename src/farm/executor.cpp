@@ -233,7 +233,7 @@ namespace {
     run_impedance_shard(const campaign_spec& spec, const shard_range& range,
                         std::size_t threads)
     {
-        const core::circuit_template tmpl{spec.netlist, ""};
+        const core::circuit_template tmpl = core::circuit_template::from_file(spec.netlist);
         const analysis::impedance_options point_opt = spec.impedance_options(1);
 
         std::vector<point_record> records(range.end - range.begin);
@@ -288,7 +288,7 @@ namespace {
     run_transient_shard(const campaign_spec& spec, const shard_range& range,
                         std::size_t threads)
     {
-        const core::circuit_template tmpl{spec.netlist, ""};
+        const core::circuit_template tmpl = core::circuit_template::from_file(spec.netlist);
         std::vector<point_record> records(range.end - range.begin);
         engine::sweep_engine_options eopt;
         eopt.threads = threads;
@@ -337,7 +337,7 @@ std::vector<point_record> run_shard(const campaign_spec& spec, std::size_t shard
     if (spec.analysis == campaign_analysis::transient)
         return run_transient_shard(spec, range, threads);
 
-    const core::circuit_template tmpl{spec.netlist, ""};
+    const core::circuit_template tmpl = core::circuit_template::from_file(spec.netlist);
     const std::vector<core::grid_point_result> results = core::sweep_stability_grid(
         [&tmpl, &spec](spice::circuit& c, const core::grid_point& pt) {
             c = std::move(tmpl.build(pt).ckt);
@@ -352,7 +352,7 @@ std::vector<point_record> run_shard(const campaign_spec& spec, std::size_t shard
 }
 
 point_runner::point_runner(campaign_spec spec)
-    : spec_(std::move(spec)), tmpl_{spec_.netlist, ""}
+    : spec_(std::move(spec)), tmpl_(core::circuit_template::from_file(spec_.netlist))
 {
     if (spec_.node.empty())
         throw analysis_error("farm: campaign has no watched node");

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,44 +124,32 @@ namespace {
 
     // ----- worker process management -----
 
+    /// How long a freshly spawned worker may take to report ready (plan
+    /// and netlist read, shard header written) before it is killed as a
+    /// startup failure. Startup is not charged to any point: the point
+    /// clock of its first lease starts at the ready line.
+    [[nodiscard]] real startup_timeout_s(const exec_options& opt)
+    {
+        return std::max<real>(opt.point_timeout_s, 60.0);
+    }
+
     struct worker_proc {
         pid_t pid = -1;
         int to_fd = -1;   ///< orchestrator -> worker stdin
         int from_fd = -1; ///< worker stdout -> orchestrator
         std::size_t id = 0;
         bool idle = true;
+        bool ready = false; ///< "R" received: startup done, points may run
         bool timed_out = false;
         core::point_lease lease{0, 0};
         std::size_t next_unacked = 0; ///< in-flight point (leases run in order)
+        steady_clock::time_point spawned{};
         steady_clock::time_point point_start{};
         std::string buf;        ///< partial protocol line
         std::string shard_path; ///< this worker's append-only stream
-        /// Byte offset of the next unread record line in shard_path (0 =
-        /// header not skipped yet); advanced per acknowledged point by the
-        /// on_point streaming tail reader.
-        std::uint64_t tail_offset = 0;
+        /// Its stream in the merge index (registered on the first ack).
+        std::size_t stream = stream_merge_index::npos;
     };
-
-    /// Read the one record line the worker appended (and flushed) before
-    /// the acknowledgment that just arrived. Returns nullopt on any read
-    /// hiccup — streaming is best-effort; the merge stays authoritative.
-    [[nodiscard]] std::optional<std::string> read_appended_record(worker_proc& w)
-    {
-        std::ifstream in(w.shard_path, std::ios::binary);
-        if (!in)
-            return std::nullopt;
-        std::string line;
-        if (w.tail_offset == 0) {
-            if (!std::getline(in, line) || in.eof())
-                return std::nullopt;
-            w.tail_offset = line.size() + 1;
-        }
-        in.seekg(static_cast<std::streamoff>(w.tail_offset));
-        if (!std::getline(in, line) || in.eof())
-            return std::nullopt;
-        w.tail_offset += line.size() + 1;
-        return line;
-    }
 
     [[nodiscard]] std::string self_exe_path()
     {
@@ -223,6 +210,7 @@ namespace {
         w.to_fd = to_pipe[1];
         w.from_fd = from_pipe[0];
         w.id = id;
+        w.spawned = steady_clock::now();
         w.shard_path = shard_path;
         return w;
     }
@@ -289,6 +277,11 @@ int run_worker(const campaign_spec& spec, const std::string& shard_path,
         return std::fwrite(text.data(), 1, text.size(), stdout) == text.size()
             && std::fflush(stdout) == 0;
     };
+    // Startup is done: the orchestrator starts the point clock here, not
+    // at the lease grant, so process startup never counts against a
+    // point's wall-clock budget.
+    if (!ack("R\n"))
+        return 0;
     std::string line;
     while (std::getline(std::cin, line)) {
         unsigned long begin = 0;
@@ -400,18 +393,16 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
     journal.open_append(journal_path);
 
     // --- recover completed points from existing shard streams ---
+    // Their scan is the start of the merge index; the final merge reads
+    // only what was appended after it.
     core::lease_ledger ledger(total);
+    stream_merge_index index(spec);
     shard_file_listing existing = list_shard_files(opt.workdir);
-    for (const std::string& path : existing.paths) {
-        const shard_stream_scan scan = scan_shard_stream(path, spec_bytes);
-        for (const stream_record_ref& ref : scan.records) {
-            if (ref.point >= total)
-                throw analysis_error("farm exec: shard file '" + path
-                                     + "' has record index " + std::to_string(ref.point)
-                                     + " outside the grid");
-            ledger.complete(ref.point);
-        }
-    }
+    for (const std::string& path : existing.paths)
+        index.advance(index.add_stream(path), stream_merge_index::npos,
+                      [&ledger](std::size_t point, const std::string&) {
+                          ledger.complete(point);
+                      });
     std::size_t next_worker_id = existing.next_id;
 
     const std::vector<fault_directive> faults = parse_fault_env();
@@ -463,7 +454,7 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
     std::vector<std::pair<steady_clock::time_point, std::size_t>> cooling;
     std::map<std::size_t, std::string> quarantine_errors;
     std::size_t completed_this_run = 0;
-    std::size_t idle_deaths = 0; ///< deaths with no lease: startup failures
+    std::size_t startup_deaths = 0; ///< deaths before the ready line
     bool interrupted = false;
 
     const auto close_worker_fds = [](worker_proc& w) {
@@ -487,19 +478,27 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
         ::waitpid(w.pid, &status, 0);
         close_worker_fds(w);
         w.pid = -1;
-        const std::string reason = w.timed_out
-            ? "point exceeded " + format_seconds(opt.point_timeout_s)
-                + "s wall-clock timeout"
-            : describe_worker_death(status);
-        if (w.idle) {
-            // Death with no lease in hand is a startup failure (bad tool
-            // path, plan unreadable by the worker, ...). A few in a row
-            // means every respawn will fail too — abort instead of
+        std::string reason = describe_worker_death(status);
+        if (w.timed_out && w.ready)
+            reason = "point exceeded " + format_seconds(opt.point_timeout_s)
+                + "s wall-clock timeout";
+        else if (w.timed_out)
+            reason = "worker not ready within " + format_seconds(startup_timeout_s(opt))
+                + "s of its start";
+        if (!w.ready) {
+            // Death before the ready line is a startup failure (bad tool
+            // path, plan unreadable by the worker, ...): no point ran, so
+            // its lease goes back without an attempt charged. A few in a
+            // row means every respawn will fail too — abort instead of
             // spinning the respawn loop forever.
-            if (++idle_deaths > nworkers * 3)
+            if (!w.idle)
+                for (std::size_t i = w.lease.begin; i < w.lease.end; ++i)
+                    ledger.requeue(i);
+            if (++startup_deaths > nworkers * 3)
                 throw analysis_error("farm exec: workers keep dying before accepting "
                                      "work (" + reason
                                      + "); check the worker tool path and plan file");
+            return;
         }
         if (!w.idle && w.next_unacked < w.lease.end) {
             for (std::size_t i = w.next_unacked + 1; i < w.lease.end; ++i)
@@ -550,7 +549,10 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
     const auto handle_line = [&](worker_proc& w, const std::string& line) {
         unsigned long a = 0;
         unsigned long b = 0;
-        if (std::sscanf(line.c_str(), "P %lu", &a) == 1) {
+        if (line == "R") {
+            w.ready = true;
+            w.point_start = steady_clock::now();
+        } else if (std::sscanf(line.c_str(), "P %lu", &a) == 1) {
             ledger.complete(a);
             {
                 json_value ev = json_value::object();
@@ -563,12 +565,15 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
             w.point_start = steady_clock::now();
             w.timed_out = false;
             ++completed_this_run;
-            if (opt.on_point) {
-                // The record was flushed before this ack, so the tail
-                // read sees a complete line.
-                if (std::optional<std::string> rec = read_appended_record(w))
-                    opt.on_point(static_cast<std::size_t>(a), *rec);
-            }
+            // The record was flushed before this ack, so the cursor sees
+            // a complete line: index it now, and stream it from the same
+            // read.
+            if (w.stream == stream_merge_index::npos)
+                w.stream = index.add_stream(w.shard_path);
+            index.advance(w.stream, a, [&opt](std::size_t point, const std::string& record) {
+                if (opt.on_point)
+                    opt.on_point(point, record);
+            });
             if (opt.verbose) {
                 std::printf("farm exec: point %lu done (%zu/%zu)\n", a, ledger.done(),
                             total);
@@ -630,7 +635,8 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
             w.idle = false;
             w.lease = *lease;
             w.next_unacked = lease->begin;
-            w.point_start = now;
+            if (w.ready)
+                w.point_start = now;
             w.timed_out = false;
             {
                 json_value ev = json_value::object();
@@ -650,14 +656,16 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
                 std::chrono::duration_cast<std::chrono::milliseconds>(due - now).count());
             timeout_ms = std::clamp(ms, 0L, timeout_ms);
         };
-        const auto point_deadline = [&](const worker_proc& w) {
-            return w.point_start
-                + std::chrono::microseconds(
-                    static_cast<long>(opt.point_timeout_s * 1e6));
+        // Before its ready line a worker runs no point; it is held to
+        // the startup budget instead, counted from its spawn.
+        const auto deadline = [&](const worker_proc& w) {
+            const real budget = w.ready ? opt.point_timeout_s : startup_timeout_s(opt);
+            return (w.ready ? w.point_start : w.spawned)
+                + std::chrono::microseconds(static_cast<long>(budget * 1e6));
         };
         for (const worker_proc& w : workers)
-            if (!w.idle)
-                consider(point_deadline(w));
+            if (!w.idle || !w.ready)
+                consider(deadline(w));
         for (const auto& [due, idx] : cooling)
             consider(due);
 
@@ -701,7 +709,7 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
         // the timeout recorded as the failure reason.
         const steady_clock::time_point after = steady_clock::now();
         for (worker_proc& w : workers) {
-            if (!w.idle && !w.timed_out && after >= point_deadline(w)) {
+            if ((!w.idle || !w.ready) && !w.timed_out && after >= deadline(w)) {
                 w.timed_out = true;
                 ::kill(w.pid, SIGKILL);
             }
@@ -759,10 +767,16 @@ exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt)
         rec.error = err;
         extras.push_back(std::move(rec));
     }
-    const shard_file_listing final_files = list_shard_files(opt.workdir);
+    // Only bytes the acknowledgments did not cover are read here: records
+    // appended but never acknowledged, truncated tails, and the streams
+    // of workers that died before their first acknowledgment.
     stream_merge_result merged;
     try {
-        merged = merge_shard_streams(spec, final_files.paths, extras, opt.out);
+        for (const std::string& path : list_shard_files(opt.workdir).paths)
+            if (index.stream_of(path) == stream_merge_index::npos)
+                index.add_stream(path);
+        index.finish();
+        merged = index.emit(extras, opt.out);
     } catch (const error& e) {
         // Every acknowledged record is durable in the shard streams; a
         // failed merge (out path vanished, disk full, ...) must not read

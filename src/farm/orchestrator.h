@@ -17,7 +17,11 @@
 //     FRESH shard file (a dead worker's file may end in a truncated
 //     record and must never be appended again);
 //   * wall-clock timeout on one point -> the worker is killed and the
-//     point handled as a crash;
+//     point handled as a crash. The clock of a fresh worker's first
+//     point starts at its ready line, so process startup (slow under CPU
+//     starvation) is not charged to the point; a worker that dies or
+//     hangs before it is ready is a startup failure, its lease requeued
+//     without an attempt charged;
 //   * retry budget exhausted -> the point is quarantined: its error text
 //     is recorded and a placeholder record (status "quarantined") is
 //     merged into the report instead of aborting the campaign;
@@ -77,11 +81,12 @@ struct exec_options {
     /// this at the request's cancel flag so a client disconnect or
     /// deadline reaps exactly that request's workers.
     std::function<bool()> cancelled;
-    /// Streamed per completed point: the global index plus the exact
-    /// record line appended to the shard stream (canonical
-    /// point_record_to_json bytes, durable before this fires). Called
-    /// from inside the orchestrator loop; must not throw. Points
-    /// recovered from shard streams by --resume are NOT replayed.
+    /// Streamed once per completed point: the global index plus the
+    /// exact record line appended to the shard stream (canonical
+    /// point_record_to_json bytes, durable before this fires), from the
+    /// same read that enters it in the merge index. Called from inside
+    /// the orchestrator loop; must not throw. Points recovered from shard
+    /// streams by --resume are NOT replayed.
     std::function<void(std::size_t index, const std::string& record_json)> on_point;
     bool verbose = true; ///< per-point progress lines on stdout
 };
@@ -100,8 +105,10 @@ struct exec_summary {
 exec_summary exec_campaign(const campaign_spec& spec, const exec_options& opt);
 
 /// Worker-process entry point (`acstab farm worker`, spawned by
-/// exec_campaign): read "L <begin> <end>" leases on stdin, run each point
-/// serially, append its record to the shard stream (durably, BEFORE
+/// exec_campaign): answer "R" on stdout once the plan is loaded and the
+/// shard header written (the orchestrator starts the point clock there),
+/// then read "L <begin> <end>" leases on stdin, run each point serially,
+/// append its record to the shard stream (durably, BEFORE
 /// acknowledging), answer "P <idx>" per point and "D <begin> <end>" per
 /// lease on stdout; exit 0 on stdin EOF.
 int run_worker(const campaign_spec& spec, const std::string& shard_path,

@@ -83,6 +83,19 @@ struct lu_options {
 /// limiting fill-in.
 inline constexpr double lu_pivot_tol = 0.1;
 
+/// Mean sub-diagonal rows per supernode at which the blocked
+/// refactorization starts to beat the column path. The blocked path wins
+/// through dense updates of a source supernode's sub-rows; with few
+/// sub-rows its per-column panel bookkeeping costs more than the
+/// column path's scatters. Calibrated on the scaling_choice rows of
+/// BENCH_19.json (one complex refactorization of Y(jw) on each path, same
+/// run, 4-vCPU x86-64 host): the shipped netlists (2-7 unknowns, 0-1
+/// sub-rows) refactor 1.8-2.4x faster on the column path and ladders (~1
+/// sub-row) 1.3x faster at every size; 2-D RC meshes tie at 7.3 sub-rows
+/// (146 unknowns) and run blocked 1.14x faster at 8.2 (258 unknowns),
+/// 1.3-1.7x at 8.4-9.7 (402-2027 unknowns) and 2.3x at 10.4 (8283).
+inline constexpr double blocked_refactor_min_sub_rows = 7.5;
+
 /// Immutable symbolic factorization: pivot order, column ordering and the
 /// L/U sparsity patterns (full symbolic reach, so any matrix with the seed
 /// matrix's pattern can be refactored numerically against it). Pivots are
@@ -129,6 +142,16 @@ public:
     /// Supernode partition of the pivot columns (supernode.h), computed
     /// once at analysis time; numeric_lu's blocked mode is built on it.
     [[nodiscard]] const supernode_partition& supernodes() const noexcept { return sn_; }
+    /// Whether the blocked (supernodal) refactorization pays on this
+    /// structure: the partition's mean sub-diagonal rows per supernode
+    /// reach blocked_refactor_min_sub_rows. numeric_lu starts in the mode
+    /// this picks.
+    [[nodiscard]] bool blocked_refactor_pays() const noexcept
+    {
+        return sn_.count() > 0
+            && static_cast<double>(sn_.rows.size())
+            >= blocked_refactor_min_sub_rows * static_cast<double>(sn_.count());
+    }
 
 private:
     void analyze(const csc_matrix<T>& a, const options& opt, factor_values* values_out)
@@ -314,7 +337,9 @@ private:
 /// Per-worker numeric factorization bound to a shared symbolic_lu. Holds
 /// only L/U values plus O(n) scratch; refactor(), solve_in_place() and
 /// solve_batch() never allocate. One instance is NOT thread-safe (shared
-/// scratch); the symbolic object it points at is.
+/// scratch); the symbolic object it points at is. It starts in the
+/// numeric mode the structure picks (symbolic_lu::blocked_refactor_pays);
+/// set_supernodal overrides that choice.
 template <class T>
 class numeric_lu {
 public:
@@ -322,6 +347,7 @@ public:
         : sym_(std::move(sym)), lval_(sym_->lrow().size()), uval_(sym_->urow().size()),
           work_(sym_->size(), T{}), scratch_(sym_->size())
     {
+        set_supernodal(sym_->blocked_refactor_pays());
     }
 
     /// Adopt the seed values the symbolic analysis computed anyway, so a
@@ -333,6 +359,7 @@ public:
     {
         if (lval_.size() != sym_->lrow().size() || uval_.size() != sym_->urow().size())
             throw numeric_error("numeric_lu: seed values do not match the symbolic pattern");
+        set_supernodal(sym_->blocked_refactor_pays());
     }
 
     [[nodiscard]] const symbolic_lu<T>& symbolic() const noexcept { return *sym_; }
@@ -851,7 +878,8 @@ public:
     /// of a given width the solve loop is allocation-free again.
     void set_batch_kernel(batch_kernel k) noexcept { kernel_ = k; }
 
-    /// Enable the supernodal/blocked numeric path: refactor() runs the
+    /// Force the supernodal/blocked numeric path on or off (the
+    /// constructor picks it from the structure). On, refactor() runs the
     /// blocked elimination over the symbolic supernode partition and
     /// solve_batch's SIMD kernel walks dense panels per supernode
     /// instead of CSC columns. The CSC value arrays are maintained in

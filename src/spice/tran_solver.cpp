@@ -83,7 +83,6 @@ void tran_solver::rebuild_symbolic()
     factored_.clear();
     sym_ = std::make_shared<const numeric::symbolic_lu<real>>(csc_);
     num_ = std::make_unique<numeric::numeric_lu<real>>(sym_);
-    num_->set_supernodal(true);
     refactor();
     ++stats_.symbolic_builds;
 }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -379,6 +380,235 @@ TEST(shard_stream, quarantine_extras_fill_holes_but_lose_to_real_records)
     EXPECT_EQ(records[3].at("status").as_string(), "failed");
 }
 
+// --- incremental merge index ----------------------------------------------
+
+/// Canonical record line, as the writer appends it (without the '\n').
+[[nodiscard]] std::string record_line(const farm::point_record& rec)
+{
+    return farm::point_record_to_json(rec).dump();
+}
+
+TEST(merge_index, cursor_reads_a_growing_stream_record_by_record)
+{
+    const farm::campaign_spec spec = small_campaign();
+    const std::string path = "test_orch_cursor_grow.jsonl";
+    std::filesystem::remove(path);
+    farm::shard_writer writer(path, spec, 0);
+    farm::shard_stream_cursor cursor(path, farm::to_json(spec).dump());
+    farm::stream_record_ref ref;
+    std::string line;
+    EXPECT_FALSE(cursor.next(ref, line)); // header only, no record yet
+
+    writer.append(synthetic_record(spec, 3, "a"));
+    ASSERT_TRUE(cursor.next(ref, line));
+    EXPECT_EQ(ref.point, 3u);
+    EXPECT_EQ(line, record_line(synthetic_record(spec, 3, "a")));
+    EXPECT_FALSE(cursor.next(ref, line));
+
+    // A record still being written (no newline yet) is not read; once it
+    // is complete, the same cursor picks it up at the right offset.
+    const std::string rec1 = record_line(synthetic_record(spec, 1, "b"));
+    const std::uint64_t offset = std::filesystem::file_size(path);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out << rec1.substr(0, 10);
+    }
+    EXPECT_FALSE(cursor.next(ref, line));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out << rec1.substr(10) << "\n";
+    }
+    ASSERT_TRUE(cursor.next(ref, line));
+    EXPECT_EQ(ref.point, 1u);
+    EXPECT_EQ(ref.offset, offset);
+    EXPECT_EQ(line, rec1);
+    EXPECT_EQ(cursor.read_span(ref.offset, ref.length), rec1);
+    EXPECT_FALSE(cursor.next(ref, line));
+    EXPECT_EQ(cursor.finish(), 0u);
+}
+
+TEST(merge_index, header_check_accepts_the_same_campaign_in_any_layout_and_nothing_else)
+{
+    const farm::campaign_spec spec = small_campaign();
+    const std::string spec_bytes = farm::to_json(spec).dump();
+    const std::string rec = record_line(synthetic_record(spec, 0, "a"));
+    const auto scan_with_header = [&](const std::string& header) {
+        const std::string path = "test_orch_index_header.jsonl";
+        std::ofstream(path, std::ios::binary) << header << "\n" << rec << "\n";
+        return farm::scan_shard_stream(path, spec_bytes).records.size();
+    };
+    // The writer's own bytes, and the same header re-laid out with
+    // whitespace: both are this campaign's stream.
+    EXPECT_EQ(scan_with_header("{\"schema\":\"" + std::string(farm::shard_stream_schema)
+                               + "\",\"campaign\":" + spec_bytes + ",\"worker\":12}"),
+              1u);
+    EXPECT_EQ(scan_with_header("{ \"schema\" : \"" + std::string(farm::shard_stream_schema)
+                               + "\", \"worker\": 12, \"campaign\": " + spec_bytes + " }"),
+              1u);
+    // Another plan's stream, and a stream whose worker field is not a
+    // number-only tail of the canonical form but an extra member.
+    farm::campaign_spec other = spec;
+    other.grid.temps = {0.0, 51.0};
+    try {
+        (void)scan_with_header("{\"schema\":\"" + std::string(farm::shard_stream_schema)
+                               + "\",\"campaign\":" + farm::to_json(other).dump()
+                               + ",\"worker\":3}");
+        FAIL() << "a stream from another plan must be refused";
+    } catch (const analysis_error& e) {
+        EXPECT_NE(std::string(e.what()).find("different campaign plan"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW((void)scan_with_header("{\"schema\":\"" + std::string(farm::shard_stream_schema)
+                                        + "\",\"campaign\":" + spec_bytes
+                                        + ",\"worker\":3}x}"),
+                 analysis_error);
+}
+
+TEST(merge_index, unacknowledged_record_beats_its_quarantine_placeholder)
+{
+    const farm::campaign_spec spec = small_campaign();
+    const std::string a = "test_orch_index_unacked.jsonl";
+    const std::string out = "test_orch_index_unacked_merged.json";
+    std::filesystem::remove(a);
+    {
+        // The worker appended points 0, 1 and 2 but was killed before it
+        // acknowledged point 2, which then exhausted its retries.
+        farm::shard_writer wa(a, spec, 0);
+        for (std::size_t i = 0; i < 3; ++i)
+            wa.append(synthetic_record(spec, i, "x"));
+    }
+    farm::stream_merge_index index(spec);
+    const std::size_t s = index.add_stream(a);
+    std::vector<std::size_t> fresh;
+    const auto hook = [&fresh](std::size_t point, const std::string&) {
+        fresh.push_back(point);
+    };
+    EXPECT_TRUE(index.advance(s, 0, hook));
+    EXPECT_TRUE(index.advance(s, 1, hook));
+    EXPECT_EQ(fresh, (std::vector<std::size_t>{0, 1}));
+
+    farm::point_record q2 = synthetic_record(spec, 2, "quarantined after 3 attempts");
+    q2.status = core::point_status::quarantined;
+    farm::point_record q3 = synthetic_record(spec, 3, "quarantined after 3 attempts");
+    q3.status = core::point_status::quarantined;
+    index.finish();
+    const farm::stream_merge_result merged = index.emit({q2, q3}, out);
+    ASSERT_EQ(merged.extras_used.size(), 1u);
+    EXPECT_EQ(merged.extras_used[0], 3u);
+    const farm::json_value report = farm::json_value::parse(read_file_bytes(out));
+    const auto& records = report.at("records").items();
+    ASSERT_EQ(records.size(), 4u);
+    EXPECT_EQ(records[2].at("status").as_string(), "failed");
+    EXPECT_EQ(records[3].at("status").as_string(), "quarantined");
+}
+
+TEST(merge_index, killed_workers_truncated_tail_is_dropped)
+{
+    const farm::campaign_spec spec = small_campaign();
+    const std::string a = "test_orch_index_tail.jsonl";
+    const std::string out = "test_orch_index_tail_merged.json";
+    std::filesystem::remove(a);
+    {
+        farm::shard_writer wa(a, spec, 0);
+        wa.append(synthetic_record(spec, 0, "x"));
+        wa.append(synthetic_record(spec, 1, "x"));
+    }
+    farm::stream_merge_index index(spec);
+    const std::size_t s = index.add_stream(a);
+    EXPECT_TRUE(index.advance(s, 0));
+    // SIGKILL mid-append of point 2: a newline-less partial record.
+    const std::string partial = record_line(synthetic_record(spec, 2, "x"));
+    {
+        std::ofstream tail(a, std::ios::binary | std::ios::app);
+        tail << partial.substr(0, partial.size() / 2);
+    }
+    EXPECT_FALSE(index.advance(s, 2));
+    index.finish();
+    farm::point_record q2 = synthetic_record(spec, 2, "quarantined");
+    q2.status = core::point_status::quarantined;
+    farm::point_record q3 = synthetic_record(spec, 3, "quarantined");
+    q3.status = core::point_status::quarantined;
+    const farm::stream_merge_result merged = index.emit({q2, q3}, out);
+    EXPECT_EQ(merged.extras_used, (std::vector<std::size_t>{2, 3}));
+    EXPECT_EQ(farm::scan_shard_stream(a, farm::to_json(spec).dump()).truncated_tail_bytes,
+              partial.size() / 2);
+}
+
+TEST(merge_index, conflicting_duplicate_is_rejected_as_it_is_read)
+{
+    const farm::campaign_spec spec = small_campaign();
+    const std::string a = "test_orch_index_dup_a.jsonl";
+    const std::string b = "test_orch_index_dup_b.jsonl";
+    std::filesystem::remove(a);
+    std::filesystem::remove(b);
+    {
+        farm::shard_writer wa(a, spec, 0);
+        wa.append(synthetic_record(spec, 2, "x"));
+        farm::shard_writer wb(b, spec, 1);
+        wb.append(synthetic_record(spec, 2, "x"));
+        wb.append(synthetic_record(spec, 2, "DIFFERENT"));
+    }
+    farm::stream_merge_index index(spec);
+    const std::size_t sa = index.add_stream(a);
+    const std::size_t sb = index.add_stream(b);
+    std::size_t fresh = 0;
+    const auto hook = [&fresh](std::size_t, const std::string&) { ++fresh; };
+    EXPECT_TRUE(index.advance(sa, 2, hook));
+    // The byte-identical copy folds; the conflicting one throws.
+    EXPECT_TRUE(index.advance(sb, 2, hook));
+    EXPECT_EQ(fresh, 1u);
+    try {
+        (void)index.advance(sb, 2, hook);
+        FAIL() << "a conflicting duplicate must not index";
+    } catch (const analysis_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("conflicting records for point 2"), std::string::npos) << what;
+        EXPECT_NE(what.find(a), std::string::npos) << what;
+        EXPECT_NE(what.find(b), std::string::npos) << what;
+    }
+}
+
+TEST(merge_index, mid_file_corruption_error_matches_the_full_scan)
+{
+    const farm::campaign_spec spec = small_campaign();
+    const std::string spec_bytes = farm::to_json(spec).dump();
+    const std::string path = "test_orch_index_corrupt.jsonl";
+    std::filesystem::remove(path);
+    {
+        farm::shard_writer writer(path, spec, 0);
+        writer.append(synthetic_record(spec, 0, "a"));
+        writer.append(synthetic_record(spec, 1, "b"));
+    }
+    std::string bytes = read_file_bytes(path);
+    const std::size_t second_record = bytes.find('\n', bytes.find('\n') + 1) + 1;
+    bytes[second_record + 2] = '\x01';
+    std::ofstream(path, std::ios::binary) << bytes;
+
+    std::string scan_error;
+    try {
+        (void)farm::scan_shard_stream(path, spec_bytes);
+    } catch (const analysis_error& e) {
+        scan_error = e.what();
+    }
+    ASSERT_FALSE(scan_error.empty()) << "corrupt shard stream must not scan";
+    EXPECT_NE(scan_error.find("byte offset " + std::to_string(second_record)),
+              std::string::npos)
+        << scan_error;
+    EXPECT_NE(scan_error.find("--resume"), std::string::npos) << scan_error;
+
+    // The cursor meets the damage one acknowledgment later and reports
+    // it in exactly the same words.
+    farm::stream_merge_index index(spec);
+    const std::size_t s = index.add_stream(path);
+    EXPECT_TRUE(index.advance(s, 0));
+    try {
+        (void)index.advance(s, 1);
+        FAIL() << "the cursor must not index a corrupt record";
+    } catch (const analysis_error& e) {
+        EXPECT_EQ(std::string(e.what()), scan_error);
+    }
+}
+
 // --- end-to-end farm exec --------------------------------------------------
 
 TEST(farm_exec, clean_run_matches_single_process_bytes)
@@ -535,6 +765,47 @@ TEST(farm_exec, on_point_hook_streams_each_record_as_it_lands)
         EXPECT_EQ(record.at("status").as_string(), "ok");
     }
     EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+}
+
+TEST(farm_exec, on_point_fires_once_per_record_across_a_worker_crash)
+{
+    exec_fixture fx("onpointcrash");
+    // Point 1's worker dies; the retry runs on a fresh worker with a
+    // fresh stream. Every record still streams exactly once.
+    const fault_env env("crash:1");
+    farm::exec_options opt = fx.options();
+    std::map<std::size_t, std::size_t> seen;
+    opt.on_point = [&](std::size_t index, const std::string& record_json) {
+        ++seen[index];
+        EXPECT_EQ(farm::json_value::parse(record_json).at("index").as_index(), index);
+    };
+    const farm::exec_summary sum = farm::exec_campaign(fx.spec, opt);
+    EXPECT_EQ(sum.completed, 4u);
+    EXPECT_EQ(seen, (std::map<std::size_t, std::size_t>{{0, 1}, {1, 1}, {2, 1}, {3, 1}}));
+    EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
+}
+
+TEST(farm_exec, slow_worker_startup_is_not_charged_to_the_first_point)
+{
+    exec_fixture fx("slowstart");
+    // Every worker takes 1.5 s to start (what a CPU-starved host does to
+    // process startup), longer than the 1 s point budget. Startup is not
+    // a point: nothing times out and nothing is quarantined.
+    const std::string wrapper = "test_orch_slowstart_tool.sh";
+    {
+        std::ofstream script(wrapper, std::ios::binary);
+        script << "#!/bin/sh\nsleep 1.5\nexec '" << ACSTAB_TOOL_PATH << "' \"$@\"\n";
+    }
+    std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all,
+                                 std::filesystem::perm_options::add);
+    farm::exec_options opt = fx.options();
+    opt.tool_path = std::filesystem::absolute(wrapper).string();
+    opt.point_timeout_s = 1.0;
+    const farm::exec_summary sum = farm::exec_campaign(fx.spec, opt);
+    EXPECT_FALSE(sum.interrupted);
+    EXPECT_EQ(sum.completed, 4u);
+    EXPECT_TRUE(sum.quarantined.empty());
     EXPECT_EQ(read_file_bytes(fx.out), legacy_report_bytes(fx.spec));
 }
 

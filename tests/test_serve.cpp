@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -342,6 +343,43 @@ TEST(serve_e2e, streams_points_and_delivers_byte_identical_report)
     EXPECT_EQ(fx.summary.accepted, 1u);
     EXPECT_EQ(fx.summary.completed, 1u);
     EXPECT_EQ(fx.summary.failed, 0u);
+}
+
+TEST(serve_e2e, worker_crash_streams_each_point_once_and_report_stays_byte_identical)
+{
+    const farm::campaign_spec spec = small_campaign();
+    serve_fixture fx("crash");
+    // Point 1's worker dies mid-lease; its retry runs on a fresh worker.
+    const fault_env env("crash:1");
+    fx.start();
+    client c(fx);
+    c.send(submit_line("job", spec));
+    const std::optional<json_value> ack = c.read_frame("ack");
+    ASSERT_TRUE(ack.has_value());
+    const std::string req_dir = ack->at("dir").as_string();
+
+    std::map<std::size_t, std::size_t> streamed;
+    json_value report;
+    while (true) {
+        const std::optional<std::string> line = c.read_line(120.0);
+        ASSERT_TRUE(line.has_value()) << "timed out waiting for frames";
+        const json_value doc = json_value::parse(*line);
+        const std::string& frame = doc.at("frame").as_string();
+        if (frame == "point") {
+            ++streamed[doc.at("index").as_index()];
+        } else if (frame == "report") {
+            report = doc;
+            break;
+        } else {
+            FAIL() << "unexpected frame: " << frame;
+        }
+    }
+    EXPECT_EQ(streamed, (std::map<std::size_t, std::size_t>{{0, 1}, {1, 1}, {2, 1}, {3, 1}}));
+    EXPECT_EQ(report.at("completed").as_index(), 4u);
+    const std::string truth = legacy_report_bytes(spec);
+    EXPECT_EQ(report.at("report").dump() + "\n", truth);
+    EXPECT_EQ(read_file_bytes(req_dir + "/report.json"), truth);
+    fx.stop();
 }
 
 TEST(serve_e2e, malformed_oversized_and_overdeep_frames_get_structured_errors)

@@ -82,10 +82,13 @@ void expect_equivalent(const core::stability_report& ref, const core::stability_
     ASSERT_EQ(got.loops.size(), ref.loops.size()) << label;
 }
 
-/// amd-approx vs natural ordering, SIMD vs scalar kernels and blocked vs
-/// column numeric paths on every shipped netlist, each at 1 and 4
-/// threads, against the default-configuration serial reference:
-/// identical verdicts, margins within tolerance.
+/// amd-approx vs natural ordering, SIMD vs scalar kernels and the
+/// partition's pick vs the forced column numeric path on every shipped
+/// netlist, each at 1 and 4 threads, against the default-configuration
+/// serial reference: identical verdicts, margins within tolerance. The
+/// shipped netlists are small enough to pick the column path, so the
+/// blocked kernel on them is covered in test_supernode.cpp by forcing
+/// numeric_lu::set_supernodal(true).
 TEST(solver_modes, ordering_and_kernel_equivalence_on_shipped_netlists)
 {
     struct mode {
@@ -171,13 +174,23 @@ engine::linearized_snapshot mesh_snapshot(spice::parsed_netlist& net, std::size_
     return engine::linearized_snapshot(net.ckt, op, sopt);
 }
 
+/// The mesh these tests run on must be one whose supernode partition
+/// picks the blocked path: on a structure that picks column, the SIMD
+/// kernel and the supernodal selector would compare column with column.
+void expect_blocked_pick(const engine::linearized_snapshot& snap)
+{
+    ASSERT_TRUE(snap.shared_symbolic(to_omega(1e5))->blocked_refactor_pays())
+        << "the mesh no longer picks the blocked path";
+}
+
 TEST(solver_modes, simd_and_scalar_kernels_agree_on_generated_mesh)
 {
     spice::parsed_netlist net;
-    const engine::linearized_snapshot snap = mesh_snapshot(net, 64);
+    const engine::linearized_snapshot snap = mesh_snapshot(net, 400);
+    expect_blocked_pick(snap);
     const std::vector<real> freqs = numeric::log_grid(1e4, 1e7, 12);
     std::vector<engine::sweep_engine::injection> injections;
-    for (std::size_t k = 0; k < snap.size(); ++k)
+    for (std::size_t k = 0; k < snap.size(); k += 4)
         injections.push_back({k, cplx{1.0, 0.0}});
 
     engine::solver_tuning simd_on;
@@ -192,11 +205,13 @@ TEST(solver_modes, simd_and_scalar_kernels_agree_on_generated_mesh)
 
 /// The supernodal/blocked numeric path against the column-at-a-time
 /// reference on a generated mesh (the fill-heavy case where supernodes
-/// actually get wide), at 1 and 4 threads: answers agree to 1e-12.
+/// actually get wide, and the one the partition runs blocked), at 1 and
+/// 4 threads: answers agree to 1e-12.
 TEST(solver_modes, supernodal_and_column_paths_agree_on_generated_mesh)
 {
     spice::parsed_netlist net;
-    const engine::linearized_snapshot snap = mesh_snapshot(net, 144);
+    const engine::linearized_snapshot snap = mesh_snapshot(net, 400);
+    expect_blocked_pick(snap);
     const std::vector<real> freqs = numeric::log_grid(1e4, 1e7, 12);
     std::vector<engine::sweep_engine::injection> injections;
     for (std::size_t k = 0; k < snap.size(); k += 5)
@@ -204,7 +219,7 @@ TEST(solver_modes, supernodal_and_column_paths_agree_on_generated_mesh)
 
     engine::solver_tuning column;
     column.supernodal = false;
-    engine::solver_tuning blocked; // default: supernodal on
+    engine::solver_tuning blocked; // default: the partition picks blocked here
     const sweep_capture ref = run_engine(snap, freqs, injections, column, 1);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         const sweep_capture blk = run_engine(snap, freqs, injections, blocked, threads);

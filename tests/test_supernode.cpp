@@ -1,6 +1,8 @@
 // Supernodal blocked numeric path: detection invariants on hand-built
 // patterns, blocked-vs-column refactor/solve equivalence on real
-// snapshots, and panel adoption from seed values. The engine-level
+// snapshots (forced on the shipped netlists, which pick the column
+// path), panel adoption from seed values, and which path the partition
+// picks. The engine-level
 // equivalence across netlists/threads lives in test_solver_modes.cpp;
 // these tests pin the numeric layer in isolation.
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <complex>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "circuits/opamp.h"
@@ -15,7 +18,10 @@
 #include "engine/linearized_snapshot.h"
 #include "numeric/sparse_factor.h"
 #include "numeric/supernode.h"
+#include "gen/netlist_gen.h"
 #include "spice/dc_analysis.h"
+#include "spice/device.h"
+#include "spice/parser/netlist_parser.h"
 
 namespace {
 
@@ -214,6 +220,7 @@ void expect_blocked_matches_column(spice::circuit& c, numeric::column_ordering o
     const auto sym = std::make_shared<const numeric::symbolic_lu<cplx>>(work, sopt);
 
     numeric::numeric_lu<cplx> col(sym);
+    col.set_supernodal(false);
     numeric::numeric_lu<cplx> blk(sym);
     blk.set_batch_kernel(numeric::batch_kernel::simd);
     blk.set_supernodal(true);
@@ -293,6 +300,7 @@ TEST(supernode_numeric, seed_adoption_loads_panels)
     blk.set_supernodal(true);
 
     numeric::numeric_lu<cplx> col(sym);
+    col.set_supernodal(false);
     col.refactor(work);
 
     std::vector<std::vector<cplx>> batch(4, std::vector<cplx>(n, cplx{}));
@@ -306,6 +314,120 @@ TEST(supernode_numeric, seed_adoption_loads_panels)
     col.solve_batch(cols.data(), 4, xc.data());
     blk.solve_batch(cols.data(), 4, xb.data());
     EXPECT_LT(max_rel_err(xc, xb), 1e-12);
+}
+
+// --- the numeric path the structure picks -----------------------------------
+
+spice::parsed_netlist parsed(const std::string& netlist_text)
+{
+    spice::parsed_netlist net = spice::parse_netlist(netlist_text);
+    net.ckt.finalize();
+    return net;
+}
+
+spice::parsed_netlist shipped(const char* name)
+{
+    spice::parsed_netlist net
+        = spice::parse_netlist_file(std::string(ACSTAB_NETLIST_DIR) + "/" + name);
+    net.ckt.finalize();
+    return net;
+}
+
+/// Y(j 2 pi f) of a circuit at its operating point.
+numeric::csc_matrix<cplx> admittance(spice::circuit& c, real f)
+{
+    const spice::dc_result op = spice::dc_operating_point(c);
+    const engine::linearized_snapshot snap(c, op.solution, {});
+    numeric::csc_matrix<cplx> work = snap.make_workspace();
+    snap.assemble(to_omega(f), work);
+    return work;
+}
+
+/// The DC Newton matrix at the operating point, stamped the way the DC
+/// solver stamps it.
+numeric::csc_matrix<real> dc_jacobian(spice::circuit& c)
+{
+    const spice::dc_result op = spice::dc_operating_point(c);
+    spice::system_builder<real> b(op.solution.size());
+    const spice::stamp_params params;
+    for (const auto& dev : c.devices())
+        dev->stamp_dc(op.solution, params, b);
+    return numeric::csc_matrix<real>(b.matrix());
+}
+
+template <class T>
+bool picks_blocked(const numeric::csc_matrix<T>& a)
+{
+    const auto sym = std::make_shared<const numeric::symbolic_lu<T>>(a);
+    const numeric::numeric_lu<T> num(sym);
+    EXPECT_EQ(num.supernodal(), sym->blocked_refactor_pays());
+    return num.supernodal();
+}
+
+TEST(supernode_choice, follower_runs_column_and_the_2k_mesh_runs_blocked)
+{
+    spice::parsed_netlist follower = shipped("follower.sp");
+    EXPECT_FALSE(picks_blocked(admittance(follower.ckt, 1e7)));
+    EXPECT_FALSE(picks_blocked(dc_jacobian(follower.ckt)));
+
+    gen::gen_options gopt;
+    gopt.size = 2000;
+    spice::parsed_netlist ladder = parsed(gen::generate_netlist("ladder", gopt));
+    EXPECT_FALSE(picks_blocked(admittance(ladder.ckt, 1e6)));
+
+    spice::parsed_netlist mesh = parsed(gen::generate_netlist("rcmesh", gopt));
+    EXPECT_TRUE(picks_blocked(admittance(mesh.ckt, 1e6)));
+    // The transient solver refactors the real matrix of the same
+    // structure: it stays blocked too.
+    EXPECT_TRUE(picks_blocked(dc_jacobian(mesh.ckt)));
+}
+
+TEST(supernode_choice, set_supernodal_overrides_the_pick)
+{
+    spice::parsed_netlist follower = shipped("follower.sp");
+    const auto sym
+        = std::make_shared<const numeric::symbolic_lu<cplx>>(admittance(follower.ckt, 1e7));
+    numeric::numeric_lu<cplx> num(sym);
+    ASSERT_FALSE(num.supernodal());
+    num.set_supernodal(true);
+    EXPECT_TRUE(num.supernodal());
+    num.set_supernodal(false);
+    EXPECT_FALSE(num.supernodal());
+}
+
+/// The shipped netlists all pick the column path, so the product never
+/// runs the blocked kernel on them: force it, and hold it to the column
+/// path on Y(jw) (batched solves, 1e-12, like the generated circuits
+/// above) and on the real DC matrix.
+TEST(supernode_numeric, forced_blocked_matches_column_on_every_shipped_netlist)
+{
+    for (const char* name :
+         {"rlc_tank.sp", "two_pole_loop.sp", "three_pole_loop.sp", "follower.sp"}) {
+        SCOPED_TRACE(name);
+        spice::parsed_netlist net = shipped(name);
+        expect_blocked_matches_column(net.ckt, numeric::column_ordering::amd_approx, 4);
+
+        const numeric::csc_matrix<real> g = dc_jacobian(net.ckt);
+        const auto sym = std::make_shared<const numeric::symbolic_lu<real>>(g);
+        numeric::numeric_lu<real> col(sym);
+        col.set_supernodal(false);
+        numeric::numeric_lu<real> blk(sym);
+        blk.set_supernodal(true);
+        col.refactor(g);
+        blk.refactor(g);
+        std::vector<real> b(g.rows());
+        for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] = 1.0 + 0.25 * static_cast<real>(i);
+        const std::vector<real> xc = col.solve(b);
+        const std::vector<real> xb = blk.solve(b);
+        real worst = 0.0;
+        for (std::size_t i = 0; i < xc.size(); ++i) {
+            const real mag = std::max(std::abs(xc[i]), std::abs(xb[i]));
+            if (mag > 1e-30)
+                worst = std::max(worst, std::abs(xc[i] - xb[i]) / mag);
+        }
+        EXPECT_LT(worst, 1e-12);
+    }
 }
 
 } // namespace
